@@ -1,5 +1,16 @@
 """The recursive encode / decode / transfer routine run on a statevector.
 
+The protocol is one fixed unitary: the applied ops depend on the geometry but
+never on the encoded coefficients, so encoding is exactly linear in the input
+state.  It is compiled once per (lattice, region, c, plan, gate mode) into a
+flat list of steps, one per trace record, each holding its ops: single-site
+gates, controlled increments and diagonal phase evolutions.  Encode replays
+the steps forward.  Decode replays them in reverse order with every op
+inverted (a gate by its conjugate transpose, an increment by a decrement, a
+phase by its negated duration), and checks each step against the expected
+state before it.  Transfer is an encode followed by a decode aimed at another
+site.
+
 Execution is level-synchronous: all base cubes encode first, then each merge
 level runs its four steps (phase merge, target decode, single-site gate,
 target re-encode) across every cube of that level at once.  Operations on
@@ -14,9 +25,7 @@ the plan root's ``t_total = 3*t1 + t2`` recursion exactly.
 
 Within a cube, the control child is the one containing the cube's information
 site (the global source site if the cube contains it, the cube's anchor
-otherwise); each target child concentrates onto its anchor site.  The applied
-operation stream depends on that geometry but never on the encoded
-coefficients, so encoding is exactly linear in the input state.
+otherwise); each target child concentrates onto its anchor site.
 """
 from __future__ import annotations
 
@@ -25,6 +34,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +50,9 @@ from .simulator import (
     Gate,
     PhaseCoupling,
     StateVector,
+    apply_controlled_increment,
     apply_gate,
     basis_vector,
-    controlled_increment_cascade,
     dft_matrix,
     evolve_phase,
     fidelity,
@@ -71,7 +81,7 @@ class EncodeRequest:
             raise PreconditionError(
                 f"need {self.lattice.levels} coefficients, got {coeffs.size}"
             )
-        if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > 1e-9:
+        if not abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-9:
             raise PreconditionError("coefficients are not normalized")
         object.__setattr__(self, "coefficients", coeffs)
         if not self.region.contains(self.lattice.coord(self.c)):
@@ -147,10 +157,9 @@ class ProtocolTrace:
 
 
 @dataclass(frozen=True)
-class _CubeOps:
-    """Precomputed merge data for one cube of one level."""
+class _Merge:
+    """Merge structure of one cube above the base level."""
 
-    cube: Region
     control: Region
     targets: tuple[Region, ...]
     coupling: PhaseCoupling
@@ -158,145 +167,159 @@ class _CubeOps:
     gate_sites: tuple[int, ...]  # designated site of each target
 
 
-class _Machine:
-    """Geometry, couplings and gate matrices for one (lattice, region, c, plan).
+# Ops of the compiled stream.  Each kind has its own inverse: a gate op carries
+# G and G^dagger and swaps them, an increment flips its direction, and a phase
+# negates its duration.
+_GATE = "gate"  # (_GATE, Gate, its inverse Gate)
+_INC = "increment"  # (_INC, control site, target site, inverse flag)
+_PHASE = "phase"  # (_PHASE, coupling, duration)
 
-    Independent of the encoded coefficients, so instances are cached on the
-    plan and reused across runs (which also reuses the couplings' phase-vector
-    caches).
+
+def _inverse(op: tuple) -> tuple:
+    if op[0] == _GATE:
+        return (_GATE, op[2], op[1])
+    if op[0] == _INC:
+        return (_INC, op[1], op[2], not op[3])
+    return (_PHASE, op[1], -op[2])
+
+
+def _inverted(ops: list) -> list:
+    """The inverse unitary of an op list: reversed, each op inverted."""
+    return [_inverse(op) for op in reversed(ops)]
+
+
+class _Machine:
+    """The protocol for one (lattice, region, c, plan, gate mode), compiled once.
+
+    ``steps`` is the encode as a flat list with one entry per trace record,
+    ``(level, step, elapsed, regions, ops)``; ``inverse_steps`` is the decode,
+    the same list reversed with every op list inverted.  Both are independent
+    of the encoded coefficients, so machines are cached on the plan and reused
+    across runs (which also reuses the couplings' phase-vector caches).
     """
 
     def __init__(self, lattice: LatticeSpec, region: Region, c: int,
-                 plan: SchedulePlan, gate_mode: str = GATE_DFT,
-                 check_legality: bool = True):
+                 plan: SchedulePlan, gate_mode: str = GATE_DFT):
         self.lattice = lattice
-        self.region = region
         self.c = c
-        self.plan = plan
         self.q = lattice.levels
-        self.alpha = plan.params.alpha
-        self.d = plan.params.d
         self.c_coord = lattice.coord(c)
         if gate_mode not in (GATE_DFT, GATE_HADAMARD):
             raise PreconditionError(f"unknown gate mode {gate_mode!r}")
         if gate_mode == GATE_HADAMARD and self.q != 2:
             raise PreconditionError("the Hadamard gate path needs q = 2")
         self.gate = hadamard_matrix() if gate_mode == GATE_HADAMARD else dft_matrix(self.q)
-        self.gate_inv = self.gate.conj().T
-        self.check_legality = check_legality
-        self._ops_cache: dict = {}
 
         # nodes[level]: level 0 is the base case, level L the plan root
         self.nodes = list(reversed(plan.nodes()))
         self.n_levels = len(self.nodes) - 1
-        # cubes[level]: every cube of that side inside the region, and the
-        # merge structure of each cube above the base level
+        # cubes[level]: every cube of that side inside the region; merges[cube]:
+        # the merge structure of each cube above the base level
         self.cubes: list[list[Region]] = [[] for _ in range(self.n_levels + 1)]
-        self.ops: list[list[_CubeOps]] = [[] for _ in range(self.n_levels + 1)]
+        self.merges: dict[Region, _Merge] = {}
         self.cubes[self.n_levels] = [region]
+        alpha = plan.params.alpha
         for level in range(self.n_levels, 0, -1):
+            node = self.nodes[level]
+            duration = merge_duration(alpha, plan.params.d, node.m, node.r1, q=plan.q)
             for cube in self.cubes[level]:
-                ops = self._merge_ops(cube, level)
-                self.ops[level].append(ops)
-                self.cubes[level - 1].extend([ops.control, *ops.targets])
+                kids = partition(cube, node.m, c=self.info_site(cube))
+                control, targets = kids[0], tuple(kids[1:])
+                coupling = PhaseCoupling(
+                    control_mask=site_mask(control, lattice),
+                    target_masks=tuple(site_mask(t, lattice) for t in targets),
+                    strength=1.0 / euclidean_diameter_bound(cube) ** alpha,
+                )
+                coupling.check_power_law(lattice, alpha)
+                gate_sites = tuple(lattice.flat_index(t.anchor) for t in targets)
+                self.merges[cube] = _Merge(control, targets, coupling, duration,
+                                           gate_sites)
+                self.cubes[level - 1].extend([control, *targets])
+        self.steps = self._compile()
 
     def info_site(self, cube: Region) -> tuple[int, ...]:
         return self.c_coord if cube.contains(self.c_coord) else cube.anchor
 
-    def _merge_ops(self, cube: Region, level: int) -> _CubeOps:
-        key = (cube.anchor, cube.side, level)
-        cached = self._ops_cache.get(key)
-        if cached is not None:
-            return cached
-        kids = partition(cube, self.nodes[level].m, c=self.info_site(cube))
-        control, targets = kids[0], tuple(kids[1:])
-        strength = 1.0 / euclidean_diameter_bound(cube) ** self.alpha
-        coupling = PhaseCoupling(
-            control_mask=site_mask(control, self.lattice),
-            target_masks=tuple(site_mask(t, self.lattice) for t in targets),
-            strength=strength,
-        )
-        if self.check_legality:
-            coupling.check_power_law(self.lattice, self.alpha)
-        duration = merge_duration(
-            self.alpha, self.d, self.nodes[level].m, self.nodes[level].r1,
-            q=self.plan.q,
-        )
-        gate_sites = tuple(self.lattice.flat_index(t.anchor) for t in targets)
-        ops = _CubeOps(cube, control, targets, coupling, duration, gate_sites)
-        self._ops_cache[key] = ops
-        return ops
+    def _compile(self) -> list[tuple]:
+        gate_ops: dict[int, tuple] = {}
+        unitaries: dict[Region, list] = {}
 
-    # -- depth-first unitaries used inside a sweep step -------------------
+        def gate(site: int) -> tuple:
+            op = gate_ops.get(site)
+            if op is None:
+                op = gate_ops[site] = (_GATE, Gate(self.gate, site),
+                                       Gate(self.gate.conj().T, site))
+            return op
 
-    def apply_cube(self, state: StateVector, cube: Region, level: int,
-                   inverse: bool = False) -> StateVector:
-        """The bare encode unitary U_j of one cube, or its inverse.
+        def merge_steps(cubes: list[Region], level: int) -> list[list]:
+            """Steps 2-5 of a merge: phase, concentrate, rotate, redistribute."""
+            merges = [self.merges[cube] for cube in cubes]
+            targets = [t for mg in merges for t in mg.targets]
+            return [
+                [(_PHASE, mg.coupling, mg.duration) for mg in merges],
+                [op for t in targets for op in _inverted(unitary(t, level - 1))],
+                [gate(s) for mg in merges for s in mg.gate_sites],
+                [op for t in targets for op in unitary(t, level - 1)],
+            ]
 
-        U_j turns (sum_l psi_l |l>) at the cube's information site, rest |0>,
-        into the GHZ-like sum over the cube.  Its step 1 prepares the target
-        children symmetrically (gate on the child origin, then the child's own
-        U), while the control child just runs its U on the incoming state.
-        """
-        origin = self.lattice.flat_index(self.info_site(cube))
-        if level == 0:
-            sites = site_mask(cube, self.lattice).tolist()
-            return controlled_increment_cascade(state, origin, sites, inverse=inverse)
-        ops = self._merge_ops(cube, level)
-        if not inverse:
-            # step 1: encode the control child, prepare the targets
-            state = self.apply_cube(state, ops.control, level - 1)
-            for t, s in zip(ops.targets, ops.gate_sites):
-                state = apply_gate(state, Gate(self.gate, s))
-                state = self.apply_cube(state, t, level - 1)
-            # step 2: controlled-phase merge
-            state = evolve_phase(state, ops.coupling, ops.duration)
-            # steps 3-5: concentrate, rotate, redistribute
-            for t in ops.targets:
-                state = self.apply_cube(state, t, level - 1, inverse=True)
-            for s in ops.gate_sites:
-                state = apply_gate(state, Gate(self.gate, s))
-            for t in ops.targets:
-                state = self.apply_cube(state, t, level - 1)
-            return state
-        # exact mirror: steps 5, 4, 3, 2, 1 inverted
-        for t in ops.targets:
-            state = self.apply_cube(state, t, level - 1, inverse=True)
-        for s in ops.gate_sites:
-            state = apply_gate(state, Gate(self.gate_inv, s))
-        for t in ops.targets:
-            state = self.apply_cube(state, t, level - 1)
-        state = evolve_phase(state, ops.coupling, -ops.duration)
-        for t, s in zip(ops.targets, ops.gate_sites):
-            state = self.apply_cube(state, t, level - 1, inverse=True)
-            state = apply_gate(state, Gate(self.gate_inv, s))
-        state = self.apply_cube(state, ops.control, level - 1, inverse=True)
-        return state
+        def unitary(cube: Region, level: int) -> list:
+            """The bare encode U of one cube.
 
-    def prepare_base(self, state: StateVector, cube: Region,
-                     inverse: bool = False) -> StateVector:
-        """Base-case encode of one cube: symmetric cubes first rotate their
-        origin site into the uniform superposition, the source cube does not."""
-        origin = self.lattice.flat_index(self.info_site(cube))
-        symmetric = not cube.contains(self.c_coord)
-        sites = site_mask(cube, self.lattice).tolist()
-        if not inverse:
-            if symmetric:
-                state = apply_gate(state, Gate(self.gate, origin))
-            return controlled_increment_cascade(state, origin, sites)
-        state = controlled_increment_cascade(state, origin, sites, inverse=True)
-        if symmetric:
-            state = apply_gate(state, Gate(self.gate_inv, origin))
-        return state
+            U turns (sum_l psi_l |l>) at the cube's information site, rest |0>,
+            into the GHZ-like sum over the cube.  Its step 1 prepares the target
+            children symmetrically (gate on the child origin, then the child's
+            own U), while the control child just runs its U on the incoming state.
+            """
+            ops = unitaries.get(cube)
+            if ops is None:
+                if level == 0:  # fan the origin's level out onto the cube
+                    origin = self.lattice.flat_index(self.info_site(cube))
+                    ops = [(_INC, origin, s, False)
+                           for s in site_mask(cube, self.lattice).tolist() if s != origin]
+                else:
+                    mg = self.merges[cube]
+                    ops = list(unitary(mg.control, level - 1))
+                    for t, s in zip(mg.targets, mg.gate_sites):
+                        ops += [gate(s), *unitary(t, level - 1)]
+                    for step_ops in merge_steps([cube], level):
+                        ops += step_ops
+                unitaries[cube] = ops
+            return ops
+
+        # base level: every base cube encodes at once; symmetric cubes first
+        # rotate their origin into the uniform superposition, the source cube
+        # does not
+        base = []
+        for cube in self.cubes[0]:
+            if not cube.contains(self.c_coord):
+                base.append(gate(self.lattice.flat_index(cube.anchor)))
+            base += unitary(cube, 0)
+        steps = [(0, 1, self.nodes[0].t_total, tuple(self.cubes[0]), base)]
+        for level in range(1, self.n_levels + 1):
+            cubes = self.cubes[level]
+            targets = tuple(t for cube in cubes for t in self.merges[cube].targets)
+            t_child = self.nodes[level - 1].t_total
+            ops2, ops3, ops4, ops5 = merge_steps(cubes, level)
+            steps += [
+                (level, 2, self.nodes[level].t2, tuple(cubes), ops2),
+                (level, 3, t_child, targets, ops3),
+                (level, 4, 0.0, targets, ops4),
+                (level, 5, t_child, targets, ops5),
+            ]
+        return steps
+
+    @cached_property
+    def inverse_steps(self) -> list[tuple]:
+        return [(level, step, elapsed, regions, _inverted(ops))
+                for level, step, elapsed, regions, ops in reversed(self.steps)]
 
 
-def _get_machine(req: EncodeRequest, gate_mode: str, check_legality: bool) -> _Machine:
-    key = (req.lattice, req.region, req.c, gate_mode, check_legality)
+def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
+    key = (req.lattice, req.region, req.c, gate_mode)
     cache = req.plan.__dict__.setdefault("_machine_cache", {})
     machine = cache.get(key)
     if machine is None:
-        machine = _Machine(req.lattice, req.region, req.c, req.plan,
-                           gate_mode=gate_mode, check_legality=check_legality)
+        machine = _Machine(req.lattice, req.region, req.c, req.plan, gate_mode=gate_mode)
         if len(cache) < 32:
             cache[key] = machine
     return machine
@@ -340,22 +363,20 @@ class ExpectedStates:
                 for lv in range(q)
                 if coeffs[lv] != 0
             ]
-        ops = self.m._merge_ops(cube, level)
-        ctrl_idx = [self._block_index(ops.control, lv) for lv in range(q)]
+        merge = self.m.merges[cube]
+        ctrl_idx = [self._block_index(merge.control, lv) for lv in range(q)]
         terms = []
-        norm = (1.0 / math.sqrt(q)) ** len(ops.targets)
+        norm = (1.0 / math.sqrt(q)) ** len(merge.targets)
         if step == 2 or step == 3:
-            tgt_idx = []
-            for j, t in enumerate(ops.targets):
-                if step == 2:
-                    tgt_idx.append([self._block_index(t, x) for x in range(q)])
-                else:
-                    site = ops.gate_sites[j]
-                    tgt_idx.append([self.powers[site] * x for x in range(q)])
+            if step == 2:
+                tgt_idx = [[self._block_index(t, x) for x in range(q)]
+                           for t in merge.targets]
+            else:  # each target concentrated onto its gate site
+                tgt_idx = [[self.powers[s] * x for x in range(q)] for s in merge.gate_sites]
             for lv in range(q):
                 if coeffs[lv] == 0:
                     continue
-                for combo in itertools.product(range(q), repeat=len(ops.targets)):
+                for combo in itertools.product(range(q), repeat=len(merge.targets)):
                     idx = ctrl_idx[lv] + sum(tgt_idx[j][x] for j, x in enumerate(combo))
                     w = complex(coeffs[lv]) * norm
                     for x in combo:
@@ -366,7 +387,7 @@ class ExpectedStates:
             for lv in range(q):
                 if coeffs[lv] == 0:
                     continue
-                idx = ctrl_idx[lv] + sum(self.powers[s] * lv for s in ops.gate_sites)
+                idx = ctrl_idx[lv] + sum(self.powers[s] * lv for s in merge.gate_sites)
                 terms.append((idx, complex(coeffs[lv])))
             return terms
         raise PreconditionError(f"unknown step id {step}")
@@ -403,17 +424,18 @@ class ExpectedStates:
 _BAD_MASK_CACHE: dict = {}
 
 
-def _bad_index_mask(q: int, n: int, sites: tuple, kind: str) -> np.ndarray:
-    """Boolean mask of disallowed basis states, cached across runs.
+def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) -> None:
+    """Refuse a state with weight on disallowed basis states (masks cached).
 
     kind "nonzero": any listed site away from |0>.
     kind "unequal": listed sites not all at the same level (outside GHZ span).
     """
+    q, n = state.q, state.n
     key = (q, n, sites, kind)
     bad = _BAD_MASK_CACHE.get(key)
     if bad is None:
         if kind == "nonzero":
-            bad = _level_sum(q, n, np.asarray(sites)) > 0
+            bad = _level_sum(q, n, np.asarray(sites, dtype=np.int64)) > 0
         else:
             idx = np.arange(q**n, dtype=np.int64)
             first = (idx // q ** int(sites[0])) % q
@@ -423,29 +445,48 @@ def _bad_index_mask(q: int, n: int, sites: tuple, kind: str) -> np.ndarray:
         bad.setflags(write=False)
         if len(_BAD_MASK_CACHE) < 64:
             _BAD_MASK_CACHE[key] = bad
-    return bad
-
-
-def _check_encode_preconditions(state: StateVector, req: EncodeRequest) -> None:
-    others = tuple(s for s in site_mask(req.region, req.lattice).tolist() if s != req.c)
-    if not others:
-        return
-    bad = _bad_index_mask(state.q, state.n, others, "nonzero")
     mass = float(np.sum(np.abs(state.amps[bad]) ** 2))
-    if mass > 1e-10:
-        raise StatePreconditionError(
-            f"region sites other than c are not in |0>: stray mass {mass:.3e}"
-        )
+    if not mass <= 1e-10:
+        raise StatePreconditionError(f"{what}: stray mass {mass:.3e}")
 
 
-def _check_decode_preconditions(state: StateVector, req: EncodeRequest) -> None:
-    mask = tuple(site_mask(req.region, req.lattice).tolist())
-    bad = _bad_index_mask(state.q, state.n, mask, "unequal")
-    mass = float(np.sum(np.abs(state.amps[bad]) ** 2))
-    if mass > 1e-10:
-        raise StatePreconditionError(
-            f"region is not in the GHZ-like span: stray mass {mass:.3e}"
-        )
+def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
+         on_step, inverse: bool) -> tuple[StateVector, ProtocolTrace]:
+    """Replay the compiled steps: forward to encode, inverted to decode.
+
+    A forward step is checked against the expected state after it; an inverted
+    step against the state before it, which is the expected state after the
+    previous forward step, or the initial state for the first.
+    """
+    machine = _get_machine(req, gate_mode)
+    expected = ExpectedStates(machine, req.coefficients) if verify else None
+    trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
+    steps = machine.inverse_steps if inverse else machine.steps
+    for i, (level, step, elapsed, regions, ops) in enumerate(steps):
+        # the kernels are looked up in this module on every call, never stored
+        # in the ops, so rebinding them here reaches the whole stream
+        for op in ops:
+            if op[0] == _GATE:
+                state = apply_gate(state, op[1])
+            elif op[0] == _INC:
+                state = apply_controlled_increment(state, op[1], op[2], op[3])
+            else:
+                state = evolve_phase(state, op[1], op[2])
+        fid = None
+        if verify:
+            if not inverse:
+                target = expected.after(level, step)
+            elif i + 1 < len(steps):
+                target = expected.after(*steps[i + 1][:2])
+            else:
+                target = expected.initial()
+            fid = trace.final_fidelity = fidelity(state, target)
+            del target  # free it before the next step allocates
+        rec = StepRecord(level, step, inverse, elapsed, fid, regions)
+        trace.records.append(rec)
+        if on_step is not None:
+            on_step(rec, state)
+    return state, trace
 
 
 def encode(
@@ -453,7 +494,6 @@ def encode(
     req: EncodeRequest,
     verify: bool = True,
     gate_mode: str = GATE_DFT,
-    check_legality: bool = True,
     on_step=None,
 ) -> tuple[StateVector, ProtocolTrace]:
     """Encode the source site's state into a GHZ-like state over the region.
@@ -462,50 +502,9 @@ def encode(
     total.  With ``verify`` each step is checked against its analytic expected
     state; ``on_step(record, state)`` is called after each step if given.
     """
-    _check_encode_preconditions(state, req)
-    machine = _get_machine(req, gate_mode, check_legality)
-    expected = ExpectedStates(machine, req.coefficients) if verify else None
-    trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
-
-    def record(level, step, elapsed, regions, state):
-        fid = fidelity(state, expected.after(level, step)) if verify else None
-        rec = StepRecord(level, step, False, elapsed, fid, tuple(regions))
-        trace.records.append(rec)
-        if on_step is not None:
-            on_step(rec, state)
-
-    # base level: every base cube encodes at once (symmetric cubes include
-    # the origin rotation into the uniform superposition)
-    for cube in machine.cubes[0]:
-        state = machine.prepare_base(state, cube)
-    record(0, 1, machine.nodes[0].t_total, machine.cubes[0], state)
-
-    for level in range(1, machine.n_levels + 1):
-        node, child = machine.nodes[level], machine.nodes[level - 1]
-        ops_here = machine.ops[level]
-        for ops in ops_here:
-            state = evolve_phase(state, ops.coupling, ops.duration)
-        record(level, 2, node.t2, [o.cube for o in ops_here], state)
-        for ops in ops_here:
-            for t in ops.targets:
-                state = machine.apply_cube(state, t, level - 1, inverse=True)
-        record(level, 3, child.t_total,
-               [t for o in ops_here for t in o.targets], state)
-        for ops in ops_here:
-            for s in ops.gate_sites:
-                state = apply_gate(state, Gate(machine.gate, s))
-        record(level, 4, 0.0, [t for o in ops_here for t in o.targets], state)
-        for ops in ops_here:
-            for t in ops.targets:
-                state = machine.apply_cube(state, t, level - 1)
-        record(level, 5, child.t_total,
-               [t for o in ops_here for t in o.targets], state)
-
-    if verify:
-        target = expected.after(machine.n_levels, 5) if machine.n_levels else \
-            expected.after(0, 1)
-        trace.final_fidelity = fidelity(state, target)
-    return state, trace
+    others = tuple(s for s in site_mask(req.region, req.lattice).tolist() if s != req.c)
+    _check_stray_mass(state, others, "nonzero", "region sites other than c are not in |0>")
+    return _run(state, req, verify, gate_mode, on_step, inverse=False)
 
 
 def decode(
@@ -513,7 +512,6 @@ def decode(
     req: EncodeRequest,
     verify: bool = True,
     gate_mode: str = GATE_DFT,
-    check_legality: bool = True,
     on_step=None,
 ) -> tuple[StateVector, ProtocolTrace]:
     """Concentrate a GHZ-like region onto the request's site c (encode inverse).
@@ -522,55 +520,9 @@ def decode(
     case the recorded fidelities against unentangled expected states are not
     meaningful and ``verify`` should be switched off.
     """
-    _check_decode_preconditions(state, req)
-    machine = _get_machine(req, gate_mode, check_legality)
-    expected = ExpectedStates(machine, req.coefficients) if verify else None
-    trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
-
-    def record(level, step, elapsed, regions, state):
-        fid = None
-        if verify:
-            if level == 0:
-                target = expected.initial()
-            elif step == 2:
-                target = expected.after(level - 1, 5) if level > 1 else \
-                    expected.after(0, 1)
-            else:
-                target = expected.after(level, step - 1)
-            fid = fidelity(state, target)
-        rec = StepRecord(level, step, True, elapsed, fid, tuple(regions))
-        trace.records.append(rec)
-        if on_step is not None:
-            on_step(rec, state)
-
-    for level in range(machine.n_levels, 0, -1):
-        node, child = machine.nodes[level], machine.nodes[level - 1]
-        ops_here = machine.ops[level]
-        for ops in ops_here:
-            for t in ops.targets:
-                state = machine.apply_cube(state, t, level - 1, inverse=True)
-        record(level, 5, child.t_total,
-               [t for o in ops_here for t in o.targets], state)
-        for ops in ops_here:
-            for s in ops.gate_sites:
-                state = apply_gate(state, Gate(machine.gate_inv, s))
-        record(level, 4, 0.0, [t for o in ops_here for t in o.targets], state)
-        for ops in ops_here:
-            for t in ops.targets:
-                state = machine.apply_cube(state, t, level - 1)
-        record(level, 3, child.t_total,
-               [t for o in ops_here for t in o.targets], state)
-        for ops in ops_here:
-            state = evolve_phase(state, ops.coupling, -ops.duration)
-        record(level, 2, node.t2, [o.cube for o in ops_here], state)
-
-    for cube in machine.cubes[0]:
-        state = machine.prepare_base(state, cube, inverse=True)
-    record(0, 1, machine.nodes[0].t_total, machine.cubes[0], state)
-
-    if verify:
-        trace.final_fidelity = fidelity(state, expected.initial())
-    return state, trace
+    sites = tuple(site_mask(req.region, req.lattice).tolist())
+    _check_stray_mass(state, sites, "unequal", "region is not in the GHZ-like span")
+    return _run(state, req, verify, gate_mode, on_step, inverse=True)
 
 
 def verify_step(state: StateVector, level: int, step_id: int, context) -> float:
@@ -578,18 +530,13 @@ def verify_step(state: StateVector, level: int, step_id: int, context) -> float:
 
     ``context`` is an EncodeRequest (or a prebuilt ExpectedStates).
     """
-    if isinstance(context, ExpectedStates):
-        expected = context
-    else:
-        expected = ExpectedStates(
-            _get_machine(context, GATE_DFT, False), context.coefficients
-        )
+    expected = context if isinstance(context, ExpectedStates) else expected_states(context)
     return fidelity(state, expected.after(level, step_id))
 
 
 def expected_states(req: EncodeRequest, gate_mode: str = GATE_DFT) -> ExpectedStates:
     """Expected-state builder for the request (reusable across verify_step calls)."""
-    return ExpectedStates(_get_machine(req, gate_mode, False), req.coefficients)
+    return ExpectedStates(_get_machine(req, gate_mode), req.coefficients)
 
 
 def _extract_site_coefficients(state: StateVector, site: int) -> np.ndarray:
@@ -598,7 +545,7 @@ def _extract_site_coefficients(state: StateVector, site: int) -> np.ndarray:
         [state.amps[state.q**site * lv] for lv in range(state.q)], dtype=np.complex128
     )
     norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise StatePreconditionError(
             "cannot read source coefficients: region is not a product state "
             f"with |0> elsewhere (norm {norm:.6f})"
@@ -637,11 +584,9 @@ def state_transfer(
     state, trace_enc = encode(state, req_in, verify=verify, gate_mode=gate_mode)
     req_out = EncodeRequest(lattice, region, c_prime, coeffs, plan)
     state, trace_dec = decode(state, req_out, verify=verify, gate_mode=gate_mode)
-    trace = ProtocolTrace(
+    return state, ProtocolTrace(
         records=trace_enc.records + trace_dec.records,
         total_time=2 * plan.t_total,
+        final_fidelity=trace_dec.final_fidelity,
         forced=plan.forced,
     )
-    if verify:
-        trace.final_fidelity = trace_dec.final_fidelity
-    return state, trace

@@ -69,7 +69,7 @@ class StateVector:
             )
         object.__setattr__(self, "amps", amps)
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise PreconditionError(f"state norm**2 = {norm2!r} deviates from 1")
 
     def copy(self) -> "StateVector":
@@ -95,7 +95,7 @@ def init_product(
     for i, s in enumerate(states):
         if s.size != q:
             raise PreconditionError(f"site {i} state has {s.size} entries, expected {q}")
-        if abs(np.sum(np.abs(s) ** 2) - 1.0) > _NORM_TOL:
+        if not abs(np.sum(np.abs(s) ** 2) - 1.0) <= _NORM_TOL:
             raise PreconditionError(f"site {i} state is not normalized")
     amps = np.ones(1, dtype=np.complex128)
     for s in reversed(states):  # site n-1 is the most significant digit
@@ -130,7 +130,7 @@ class Gate:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise PreconditionError(f"gate matrix must be square, got shape {mat.shape}")
         dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        if dev > _UNITARY_TOL:
+        if not dev <= _UNITARY_TOL:
             raise PreconditionError(f"gate is not unitary: max |G+G - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
 
@@ -216,23 +216,6 @@ def apply_controlled_increment(
             sel_in[axt] = (a + lc) % q if inverse else (a - lc) % q
             out[tuple(sel_out)] = psi[tuple(sel_in)]
     return StateVector(q, n, out.reshape(-1))
-
-
-def controlled_increment_cascade(
-    state: StateVector, origin: int, sites, inverse: bool = False
-) -> StateVector:
-    """Fan out the origin's level onto each listed site by controlled increments.
-
-    Turns (sum_l a_l |l>)_origin |0...0> into the GHZ-like sum_l a_l |l...l>.
-    The inverse undoes it (gates commute, but the reverse order is kept so the
-    operation stream is the exact mirror).
-    """
-    order = [s for s in sites if s != origin]
-    if inverse:
-        order = list(reversed(order))
-    for s in order:
-        state = apply_controlled_increment(state, origin, s, inverse=inverse)
-    return state
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,12 +326,12 @@ def evolve_phase(
 
 
 def fidelity(x: StateVector, y: StateVector) -> float:
-    """|<x|y>|**2, clipped into [0, 1]."""
+    """|<x|y>|**2, clipped to at most 1; NaN amplitudes give NaN, never 1."""
     if x.q != y.q or x.n != y.n:
         raise PreconditionError(
             f"state shapes differ: (q={x.q}, n={x.n}) vs (q={y.q}, n={y.n})"
         )
-    return float(min(1.0, abs(np.vdot(x.amps, y.amps)) ** 2))
+    return float(np.minimum(1.0, abs(np.vdot(x.amps, y.amps)) ** 2))
 
 
 def expected_ghz(
@@ -368,7 +351,7 @@ def expected_ghz(
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if coeffs.size != q:
         raise PreconditionError(f"need {q} coefficients, got {coeffs.size}")
-    if abs(np.sum(np.abs(coeffs) ** 2) - 1.0) > _NORM_TOL:
+    if not abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= _NORM_TOL:
         raise PreconditionError("coefficients are not normalized")
     region_sites = set(site_mask(region, lattice).tolist())
     rest = {} if rest is None else {int(k): v for k, v in rest.items()}

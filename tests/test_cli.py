@@ -223,6 +223,15 @@ class TestRobustness:
     def test_help_exits_zero(self):
         assert run_capture(["--help"])[0] == 0
 
+    def test_nan_coefficient_is_a_precondition_failure(self):
+        code, out, err = run_capture(
+            ["simulate", "--alpha", "2.5", "--d", "1", "--r", "4", "--r0", "2",
+             "--force-m", "2", "--coeff", "nan,1"]
+        )
+        assert code == EXIT_PRECONDITION
+        assert out == ""
+        assert json.loads(err)["error"]["name"] == "precondition"
+
     def test_small_fuzz(self, tmp_path, monkeypatch):
         # the full 1e4-case fuzz lives in the acceptance suite
         monkeypatch.chdir(tmp_path)

@@ -1,9 +1,14 @@
 import io
+import itertools
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import ghzlattice.protocol as protocol
 
 from ghzlattice.errors import (
     OutOfBoundsError,
@@ -384,10 +389,9 @@ class TestEndToEndMatrix:
             lat = LatticeSpec(d, side, 2)
             p = plan(2.5 if d == 1 else 4.5, d, side, r0=side // np.prod(forced),
                      forced_m=forced)
-            machine = _Machine(lat, lat.full_region(), 0, p, check_legality=True)
-            for level_ops in machine.ops:
-                for ops in level_ops:
-                    ops.coupling.check_power_law(lat, p.params.alpha)
+            machine = _Machine(lat, lat.full_region(), 0, p)
+            for merge in machine.merges.values():
+                merge.coupling.check_power_law(lat, p.params.alpha)
 
 
 class TestQuditsAndGateModes:
@@ -432,3 +436,74 @@ class TestQuditsAndGateModes:
         with pytest.raises(PreconditionError):
             encode(source_state(lat, 0, np.ones(3) / math.sqrt(3)), req,
                    gate_mode="hadamard")
+
+
+class TestRequestValidation:
+    def test_nan_coefficients_rejected(self):
+        with pytest.raises(PreconditionError):
+            request(chain(4), [np.nan, 1.0], [2])
+
+
+class TestCompiledStream:
+    def test_kernel_calls_per_run(self, monkeypatch):
+        # the 16-chain stream: 42 gates, 64 controlled increments and 21
+        # phases, the same each way; counted through the names the runner
+        # looks up in ghzlattice.protocol
+        calls = Counter()
+        for name in ("apply_gate", "apply_controlled_increment", "evolve_phase"):
+            def counted(*args, _name=name, _kernel=getattr(protocol, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(protocol, name, counted)
+        lat = chain(16)
+        req = request(lat, [0.6, 0.8], [2, 2, 2])
+        want = {"apply_gate": 42, "apply_controlled_increment": 64, "evolve_phase": 21}
+        mid, _ = encode(source_state(lat, 0, [0.6, 0.8]), req, verify=False)
+        assert calls == want
+        calls.clear()
+        decode(mid, req, verify=False)
+        assert calls == want
+
+
+# (d, q, r0, forced_m) with at most 2**12 amplitudes
+SMALL_SHAPES = [
+    (d, q, r0, list(ms))
+    for d in (1, 2)
+    for q in (2, 3)
+    for r0 in (1, 2, 3)
+    for k in (1, 2, 3)
+    for ms in itertools.product((2, 3, 4), repeat=k)
+    if q ** ((r0 * math.prod(ms)) ** d) <= 1 << 12
+]
+
+
+@st.composite
+def transfer_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    q = draw(st.sampled_from([2, 3]))
+    _, _, r0, forced = draw(st.sampled_from(
+        [shape for shape in SMALL_SHAPES if shape[:2] == (d, q)]))
+    side = r0 * math.prod(forced)
+    lat = LatticeSpec(d, side, q)
+    p = plan(2.5 if d == 1 else 4.5, d, side, r0=r0, forced_m=forced, q=q)
+    source = draw(st.integers(0, lat.n_sites - 1))
+    target = draw(st.integers(0, lat.n_sites - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+    return lat, p, source, target, v / np.linalg.norm(v)
+
+
+class TestStreamProperties:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(transfer_cases())
+    def test_transfer_and_roundtrip(self, case):
+        lat, p, source, target, v = case
+        state = source_state(lat, source, v)
+        out, trace = state_transfer(state, source, target, lat.full_region(), p,
+                                    lattice=lat, verify=True)
+        assert all(rec.fidelity >= FIDELITY_BAR for rec in trace.records)
+        assert fidelity(out, source_state(lat, target, v)) >= FIDELITY_BAR
+        req = EncodeRequest(lat, lat.full_region(), source, v, p)
+        mid, _ = encode(state, req, verify=False)
+        back, _ = decode(mid, req, verify=False)
+        assert np.max(np.abs(back.amps - state.amps)) <= 1e-12

@@ -75,6 +75,14 @@ class TestInitProduct:
         with pytest.raises(PreconditionError):
             init_product(LatticeSpec(1, 1), [np.array([1.0, 1.0])])
 
+    def test_nan_site_rejected(self):
+        with pytest.raises(PreconditionError):
+            init_product(LatticeSpec(1, 1), [np.array([np.nan, 1.0])])
+
+    def test_nan_statevector_rejected(self):
+        with pytest.raises(PreconditionError):
+            StateVector(2, 1, np.array([np.nan, 1.0]))
+
 
 class TestGates:
     def test_hadamard_on_plus(self):
@@ -290,6 +298,13 @@ class TestFidelity:
         with pytest.raises(PreconditionError):
             fidelity(random_state(2, 2), random_state(2, 3))
 
+    def test_nan_state_is_not_perfect(self):
+        state = random_state(2, 3)
+        broken = random_state(2, 3)
+        broken.amps[:] = np.nan  # mutated after validation
+        assert not fidelity(state, broken) == 1.0
+        assert math.isnan(fidelity(state, broken))
+
 
 class TestExpectedGhz:
     def test_zero_branch(self):
@@ -325,6 +340,11 @@ class TestExpectedGhz:
         lat = LatticeSpec(1, 2)
         with pytest.raises(PreconditionError):
             expected_ghz(lat.full_region(), lat, [1.0, 1.0])
+
+    def test_nan_rejected(self):
+        lat = LatticeSpec(1, 2)
+        with pytest.raises(PreconditionError):
+            expected_ghz(lat.full_region(), lat, [np.nan, 1.0])
 
 
 class TestCapacityAndDump:
