@@ -245,8 +245,8 @@ def gate_bound_table(alpha: float, d: int, n_values) -> list[dict]:
     """
     rows = []
     for n in n_values:
-        if n < 1:
-            raise PreconditionError(f"n must be >= 1, got {n}")
+        if not 1 <= n < math.inf:
+            raise PreconditionError(f"n must be finite and >= 1, got {n}")
         ts = t_star(alpha, d, n)
         lower = float(n)
         upper = gate_count_upper(alpha, d, n, at_t_star=True)

@@ -11,6 +11,8 @@ Exit codes (stderr carries a one-line JSON error record on failure):
   1 internal error              5 memory cap exceeded
   2 usage / flag error          6 precondition or validation failure
   3 unsupported alpha regime    7 I/O failure
+Non-finite inputs and results exit 6; JSON never holds NaN or Infinity, and
+complex amplitudes are [re, im] pairs.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from . import analysis, protocol, scheduler, simulator
 from .errors import (
     GhzLatticeError,
     MemoryCapError,
+    PreconditionError,
     UnreachableTargetError,
     UnsupportedRegimeError,
 )
@@ -224,6 +227,8 @@ def _parse_coefficients(text: str, q: int) -> np.ndarray:
             vec = np.array([complex(p) for p in parts], dtype=np.complex128)
         except ValueError as exc:
             raise _UsageError(f"bad coefficient: {exc}") from exc
+    if not np.all(np.isfinite(vec)):
+        raise PreconditionError(f"coefficients must be finite, got {text!r}")
     norm = np.sqrt(np.sum(np.abs(vec) ** 2))
     if norm == 0:
         raise _UsageError("coefficients cannot all be zero")
@@ -244,7 +249,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2)
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise PreconditionError(f"result is not finite: {exc}") from exc
+
+
+def _pairs(values) -> list:
+    return [[float(v.real), float(v.imag)] for v in values]
 
 
 def _plan_csv(p: scheduler.SchedulePlan) -> str:
@@ -266,9 +278,8 @@ def _cmd_plan(o: dict) -> tuple[int, str]:
     mode = o["mode"]
     if mode not in ("integer-exact", "continuous-analytic"):
         raise _UsageError(f"unknown mode {mode!r}")
-    target = o["r"] if mode == "continuous-analytic" else int(o["r"])
     p = scheduler.plan(
-        o["alpha"], o["d"], target, r0=o["r0"], t_base=o["t-base"], q=o["q"],
+        o["alpha"], o["d"], o["r"], r0=o["r0"], t_base=o["t-base"], q=o["q"],
         K_alpha=o["k-alpha"], forced_m=o["force-m"], mode=mode,
         kappa_factor=o["kappa-factor"],
     )
@@ -319,7 +330,7 @@ def _cmd_simulate(o: dict) -> tuple[int, str]:
         buf = io.StringIO()
         trace.write_csv(buf)
         return EXIT_OK, buf.getvalue()
-    extra = {"c_site": o["c-site"], "coeff": [repr(c) for c in coeffs]}
+    extra = {"c_site": o["c-site"], "coeff": _pairs(coeffs)}
     return EXIT_OK, _dump_json(_trace_payload(o, trace, extra))
 
 
@@ -334,7 +345,7 @@ def _cmd_transfer(o: dict) -> tuple[int, str]:
         trace.write_csv(buf)
         return EXIT_OK, buf.getvalue()
     extra = {"source": o["source"], "target": o["target"],
-             "coeff": [repr(c) for c in coeffs]}
+             "coeff": _pairs(coeffs)}
     return EXIT_OK, _dump_json(_trace_payload(o, trace, extra))
 
 
@@ -403,6 +414,9 @@ def run(argv) -> int:
         return EXIT_MEMCAP
     except GhzLatticeError as exc:
         _error_record(EXIT_PRECONDITION, "precondition", str(exc))
+        return EXIT_PRECONDITION
+    except OverflowError as exc:  # an analytic formula left the float range
+        _error_record(EXIT_PRECONDITION, "overflow", str(exc))
         return EXIT_PRECONDITION
     except OSError as exc:
         _error_record(EXIT_IO, "io-error", str(exc))

@@ -58,7 +58,6 @@ from .simulator import (
     fidelity,
     hadamard_matrix,
     init_product,
-    _level_sum,
 )
 
 GATE_DFT = "dft"
@@ -421,31 +420,22 @@ class ExpectedStates:
         return StateVector(self.m.q, self.m.lattice.n_sites, amps)
 
 
-_BAD_MASK_CACHE: dict = {}
-
-
 def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) -> None:
-    """Refuse a state with weight on disallowed basis states (masks cached).
+    """Refuse a state with weight on disallowed basis states.
 
     kind "nonzero": any listed site away from |0>.
     kind "unequal": listed sites not all at the same level (outside GHZ span).
+    The allowed mass is read off slices of the (q,)*n view.
     """
-    q, n = state.q, state.n
-    key = (q, n, sites, kind)
-    bad = _BAD_MASK_CACHE.get(key)
-    if bad is None:
-        if kind == "nonzero":
-            bad = _level_sum(q, n, np.asarray(sites, dtype=np.int64)) > 0
-        else:
-            idx = np.arange(q**n, dtype=np.int64)
-            first = (idx // q ** int(sites[0])) % q
-            bad = np.zeros(q**n, dtype=bool)
-            for s in sites[1:]:
-                bad |= ((idx // q ** int(s)) % q) != first
-        bad.setflags(write=False)
-        if len(_BAD_MASK_CACHE) < 64:
-            _BAD_MASK_CACHE[key] = bad
-    mass = float(np.sum(np.abs(state.amps[bad]) ** 2))
+    q, n, psi = state.q, state.n, state.tensor()
+    kept = 0.0
+    for level in (0,) if kind == "nonzero" else range(q):
+        sel: list = [slice(None)] * n
+        for s in sites:
+            sel[n - 1 - s] = level
+        block = psi[tuple(sel)]
+        kept += float(np.vdot(block, block).real)
+    mass = float(np.vdot(state.amps, state.amps).real) - kept
     if not mass <= 1e-10:
         raise StatePreconditionError(f"{what}: stray mass {mass:.3e}")
 

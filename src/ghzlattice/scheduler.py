@@ -70,13 +70,18 @@ def choose_m(alpha: float, d: int, r1) -> int:
     polylog:   m in (r1**(lam-1), 2*r1**(lam-1)],  lam = 2d/alpha
     stretched: m in [exp(g*sqrt(log r1)), 2*exp(g*sqrt(log r1))], g = gamma/(2d);
                requires r1 >= exp(8/d)
-    power:     smallest integer strictly above 3**(1/(alpha-2d)), independent of r1
+    power:     smallest integer strictly above 3**(1/(alpha-2d)), independent of r1;
+               unsupported where alpha is so close to 2d that this overflows
     """
     reg = regime(alpha, d)
     if r1 < 1:
         raise PreconditionError(f"r1 must be >= 1, got {r1}")
     if reg == POWER:
-        return math.floor(3.0 ** (1.0 / (alpha - 2 * d))) + 1
+        try:
+            return math.floor(3.0 ** (1.0 / (alpha - 2 * d))) + 1
+        except OverflowError:
+            raise UnsupportedRegimeError(f"alpha={alpha} is too close to 2d={2 * d}: "
+                                         "3**(1/(alpha-2d)) overflows") from None
     if reg == POLYLOG:
         lam = 2.0 * d / alpha
         return math.floor(float(r1) ** (lam - 1.0)) + 1
@@ -201,6 +206,12 @@ def make_params(
     reg = regime(alpha, d)
     if r0 < 1:
         raise PreconditionError(f"base side r0 must be >= 1, got {r0}")
+    if K_alpha is not None and not 0.0 < K_alpha < math.inf:
+        raise PreconditionError(f"K_alpha must be finite and > 0, got {K_alpha}")
+    if t_base is not None and not 0.0 <= t_base < math.inf:
+        raise PreconditionError(f"t_base must be finite and >= 0, got {t_base}")
+    if reg == POLYLOG and not 3.0 < kappa_factor <= 4.0:
+        raise PreconditionError(f"kappa_factor must be in (3, 4], got {kappa_factor}")
     lam = 2.0 * d / alpha
     kappa = math.log(kappa_factor) / math.log(lam) if reg == POLYLOG else None
     if K_alpha is None:
@@ -327,8 +338,9 @@ class SchedulePlan:
         try:
             if p.regime == POWER:
                 kmin = k_alpha_min(p.alpha, p.d, m=m)
+                # m > 3**(1/(alpha-2d)), in log space: no overflow near the pole
                 return (
-                    m > 3.0 ** (1.0 / (p.alpha - 2 * p.d))
+                    math.log(m) * (p.alpha - 2 * p.d) > math.log(3.0)
                     and p.K_alpha * slack >= kmin
                 )
             if p.regime == POLYLOG:
@@ -425,6 +437,8 @@ def plan(
     power regime) and the base time is the envelope evaluated at the real
     base size.
     """
+    if not math.isfinite(target_r):
+        raise PreconditionError(f"target side must be finite, got {target_r}")
     params = make_params(
         alpha, d, r0=r0, K_alpha=K_alpha, t_base=t_base, kappa_factor=kappa_factor
     )

@@ -12,14 +12,14 @@ their input.  Every operation validates that the output stays normalized to
 The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
 ``exp(-1j * duration * J * w_c * sum_j w_j)`` where ``w_c`` / ``w_j`` are the
-level sums over the control / j-th target mask (popcounts for qubits).
+level sums over the control / j-th target mask (popcounts for qubits).  They
+are built on the masked axes of the ``(q,)*n`` view only, never per basis state.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -262,42 +262,16 @@ class PhaseCoupling:
                         )
 
 
-@lru_cache(maxsize=64)
-def _site_digits_cached(q: int, n: int, s: int) -> np.ndarray:
-    idx = np.arange(q**n, dtype=np.int64)
-    digits = (idx // q**s) % q
-    digits.setflags(write=False)
-    return digits
-
-
-def _site_digits(q: int, n: int, s: int) -> np.ndarray:
-    if q**n <= (1 << 18):  # cache only moderate sizes (<= 2 MB per entry)
-        return _site_digits_cached(q, n, s)
-    idx = np.arange(q**n, dtype=np.int64)
-    return (idx // q**s) % q
-
-
-def _level_sum(q: int, n: int, mask: np.ndarray) -> np.ndarray:
-    """Per-basis-state sum of site levels over the mask (popcount at q=2)."""
-    w = np.zeros(q**n, dtype=np.int64)
-    for s in mask:
-        w += _site_digits(q, n, int(s))
-    return w
-
-
-def _coupling_weights(coupling: PhaseCoupling, q: int, n: int) -> np.ndarray:
-    """w_c * sum_j w_j per basis state, cached on the coupling instance."""
-    cached = coupling.__dict__.get("_weights")
-    if cached is not None and cached[0] == (q, n):
-        return cached[1]
-    w_c = _level_sum(q, n, coupling.control_mask)
-    w_t = np.zeros_like(w_c)
-    for tmask in coupling.target_masks:
-        w_t += _level_sum(q, n, tmask)
-    w = w_c * w_t
-    w.setflags(write=False)
-    object.__setattr__(coupling, "_weights", ((q, n), w))
-    return w
+def _axis_level_sum(q: int, n: int, sites: list, dtype) -> np.ndarray:
+    """Sum of the sites' levels (popcount at q=2) shaped to broadcast against
+    the (q,)*n view: length q on each listed site's axis, 1 elsewhere."""
+    total = np.zeros((1,) * n, dtype=dtype)
+    levels = np.arange(q, dtype=dtype)
+    for s in sites:
+        shape = [1] * n
+        shape[n - 1 - s] = q
+        total = total + levels.reshape(shape)
+    return total
 
 
 def evolve_phase(
@@ -305,16 +279,23 @@ def evolve_phase(
 ) -> StateVector:
     """Exact diagonal evolution under the merge coupling for the given duration.
 
+    The phase vector is built on the (q,)*n view as a compact block with
+    length q only on the masked sites' axes, and broadcast against the state.
     Negative durations run the evolution backward (the inverse unitary).
     """
     for mask in (coupling.control_mask, *coupling.target_masks):
         if mask.size and (mask.min() < 0 or mask.max() >= state.n):
             raise OutOfBoundsError("coupling mask site outside the state")
+    q, n = state.q, state.n
     cache = coupling.__dict__.setdefault("_phase_cache", {})
-    key = (state.q, state.n, duration)
+    key = (q, n, duration)
     phases = cache.get(key)
     if phases is None:
-        w = _coupling_weights(coupling, state.q, state.n)
+        control = coupling.control_mask.tolist()
+        targets = [s for t in coupling.target_masks for s in t.tolist()]
+        # w_c * w_t on the masked axes only, in the smallest dtype that holds it
+        dtype = np.min_scalar_type((q - 1) ** 2 * len(control) * len(targets))
+        w = _axis_level_sum(q, n, control, dtype) * _axis_level_sum(q, n, targets, dtype)
         # weights are small integers; exponentiate the few distinct values once
         table = np.exp(
             (-1j * duration * coupling.strength) * np.arange(int(w.max()) + 1)
@@ -322,7 +303,7 @@ def evolve_phase(
         phases = table[w]
         if len(cache) < 8:
             cache[key] = phases
-    return StateVector(state.q, state.n, state.amps * phases)
+    return StateVector(q, n, (state.tensor() * phases).reshape(-1))
 
 
 def fidelity(x: StateVector, y: StateVector) -> float:
@@ -375,17 +356,13 @@ def dump_amplitudes(state: StateVector, threshold: float = 1e-12) -> list[tuple]
 
     The basis string lists site levels in flat site order, site 0 first.
     """
-    rows = []
-    for flat in range(state.amps.size):
-        a = state.amps[flat]
-        if abs(a) < threshold:
-            continue
-        digits, x = [], flat
-        for _ in range(state.n):
-            x, l = divmod(x, state.q)
-            digits.append(str(l))
-        rows.append(("".join(digits), float(a.real), float(a.imag)))
-    return rows
+    if math.isnan(threshold):
+        raise PreconditionError("dump threshold is NaN")
+    keep = np.flatnonzero(np.abs(state.amps) >= threshold)
+    digits = (keep[:, None] // state.q ** np.arange(state.n)) % state.q
+    basis = ["".join(map(str, row)) for row in digits.tolist()]
+    kept = state.amps[keep]
+    return list(zip(basis, kept.real.tolist(), kept.imag.tolist()))
 
 
 def write_amplitudes_csv(state: StateVector, fh, threshold: float = 1e-12) -> None:

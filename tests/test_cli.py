@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -214,6 +217,55 @@ class TestConfigAndOutput:
         run_capture(argv + ["--out", str(a)])
         run_capture(argv + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+def strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestBoundaryChecks:
+    """Bad numeric inputs exit with a documented code, never 0 or 1, and never
+    hang: each argv runs in a fresh process under a time limit."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--k-alpha", "nan"],
+         EXIT_PRECONDITION),
+        (["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--k-alpha", "inf"],
+         EXIT_PRECONDITION),
+        (["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--t-base", "nan"],
+         EXIT_PRECONDITION),
+        (["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--t-base", "-5"],
+         EXIT_PRECONDITION),
+        (["plan", "--alpha", "2.5", "--d", "1", "--r", "inf", "--mode",
+          "continuous-analytic"], EXIT_PRECONDITION),
+        (["plan", "--alpha", "2.0001", "--d", "1", "--r", "20"], EXIT_REGIME),
+        (["bounds", "--alpha", "2.5", "--d", "1", "--n-values", "inf"],
+         EXIT_PRECONDITION),
+        (["bounds", "--alpha", "2.5", "--d", "1", "--n-values", "1e200"],
+         EXIT_PRECONDITION),  # n**2.5 overflows a float
+        (["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--k-alpha", "1e308"],
+         EXIT_PRECONDITION),  # t_total overflows to inf: refused, not printed
+    ])
+    def test_refused_in_time(self, argv, code):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "ghzlattice.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == ""
+        assert strict_json(proc.stderr)["error"]["code"] == code
+
+    def test_coefficients_are_float_pairs(self):
+        code, out, _ = run_capture(
+            ["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2",
+             "--coeff", "0.6,0.8j"]
+        )
+        assert code == EXIT_OK
+        assert strict_json(out)["coeff"] == [[0.6, 0.0], [0.0, 0.8]]
 
 
 class TestRobustness:

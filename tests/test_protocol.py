@@ -2,6 +2,9 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -463,6 +466,71 @@ class TestCompiledStream:
         calls.clear()
         decode(mid, req, verify=False)
         assert calls == want
+
+
+class TestStrayMassGuard:
+    """encode refuses weight off |0> on the region's other sites, decode
+    refuses weight outside the GHZ-like span; both at 1e-10 stray mass."""
+
+    CASES = [(chain(8), [2, 2], 2.5), (LatticeSpec(2, 4), [2], 4.5)]
+
+    @staticmethod
+    def with_stray(state, eps):
+        # move mass eps onto site 3 at level 1, every other site at level 0
+        amps = state.amps * math.sqrt(1 - eps)
+        assert amps[2**3] == 0
+        amps[2**3] = math.sqrt(eps)
+        return StateVector(state.q, state.n, amps)
+
+    @pytest.mark.parametrize("lat,forced,alpha", CASES)
+    def test_encode_guard(self, lat, forced, alpha):
+        req = request(lat, [0.6, 0.8], forced, alpha=alpha)
+        clean = source_state(lat, 0, [0.6, 0.8])
+        with pytest.raises(StatePreconditionError):
+            encode(self.with_stray(clean, 1e-9), req, verify=False)
+        encode(self.with_stray(clean, 1e-12), req, verify=False)
+
+    @pytest.mark.parametrize("lat,forced,alpha", CASES)
+    def test_decode_guard(self, lat, forced, alpha):
+        req = request(lat, [0.6, 0.8], forced, alpha=alpha)
+        ghz = expected_ghz(lat.full_region(), lat, [0.6, 0.8])
+        with pytest.raises(StatePreconditionError):
+            decode(self.with_stray(ghz, 1e-9), req, verify=False)
+        decode(self.with_stray(ghz, 1e-12), req, verify=False)
+
+
+_ENCODE_RSS_CHILD = """
+import resource
+import numpy as np
+from ghzlattice import LatticeSpec, basis_vector, init_product, plan
+from ghzlattice.protocol import EncodeRequest, encode
+lat = LatticeSpec(1, 20)
+coeffs = np.array([0.6, 0.8j])
+states = [basis_vector(2, 0)] * 20
+states[0] = coeffs
+state = init_product(lat, states)
+req = EncodeRequest(lat, lat.full_region(), 0, coeffs,
+                    plan(2.5, 1, 20, r0=2, forced_m=[2, 5]))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_, trace = encode(state, req)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert trace.final_fidelity >= 1 - 1e-9
+print((after - before) * 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_encode_peak_memory_2_20():
+    """A 2^20 encode grows its process's peak RSS by at most 6 states (16 MiB
+    each): merge phases hold only the masked axes, stray-mass checks read
+    slices of the state, and no full-size index array is built."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _ENCODE_RSS_CHILD], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 6 * 16 * 2**20
 
 
 # (d, q, r0, forced_m) with at most 2**12 amplitudes

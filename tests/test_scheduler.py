@@ -287,6 +287,33 @@ class TestPlan:
     def test_kappa_factor_validation(self):
         with pytest.raises(PreconditionError):
             plan(1.5, 1, 8, r0=2, kappa_factor=3.0)
+        with pytest.raises(PreconditionError):  # checked even with K given
+            plan(1.5, 1, 8, r0=2, K_alpha=1.0, kappa_factor=math.nan)
+
+    @pytest.mark.parametrize("kw", [
+        {"K_alpha": math.nan}, {"K_alpha": math.inf}, {"K_alpha": 0.0},
+        {"t_base": math.nan}, {"t_base": math.inf}, {"t_base": -5.0},
+    ])
+    def test_non_finite_or_negative_constants_rejected(self, kw):
+        with pytest.raises(PreconditionError):
+            plan(2.5, 1, 20, r0=2, **kw)
+
+    @pytest.mark.parametrize("target", [math.inf, math.nan])
+    @pytest.mark.parametrize("mode", ["integer-exact", "continuous-analytic"])
+    def test_non_finite_target_rejected(self, target, mode):
+        with pytest.raises(PreconditionError):
+            plan(2.5, 1, target, r0=2, mode=mode)
+
+    def test_near_pole_merge_factor_unsupported(self):
+        # 3**(1/(alpha-2d)) = 3**10000 overflows a float
+        with pytest.raises(UnsupportedRegimeError):
+            choose_m(2.0001, 1, 2)
+        with pytest.raises(UnsupportedRegimeError):
+            plan(2.0001, 1, 20, r0=2)
+
+    def test_near_pole_forced_plan_certifies(self):
+        p = plan(2.0001, 1, 20, r0=2, K_alpha=1.0, forced_m=[10])
+        assert [rec["preconditions_met"] for rec in p.certify()] == [False, True]
 
     def test_target_below_base(self):
         with pytest.raises(PreconditionError):

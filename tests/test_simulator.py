@@ -237,6 +237,58 @@ class TestEvolvePhase:
             got = evolve_phase(state, coup, duration)
             assert np.max(np.abs(got.amps - want)) < 1e-10
 
+    @staticmethod
+    def digit_oracle(state, coupling, duration):
+        """Independent oracle: the weight w_c * w_t of every flat index from
+        full int64 base-q digit vectors, exponentiated through one table."""
+        q, n = state.q, state.n
+        idx = np.arange(q**n, dtype=np.int64)
+        w_c = np.zeros(q**n, dtype=np.int64)
+        for s in coupling.control_mask:
+            w_c += (idx // q ** int(s)) % q
+        w_t = np.zeros(q**n, dtype=np.int64)
+        for tmask in coupling.target_masks:
+            for s in tmask:
+                w_t += (idx // q ** int(s)) % q
+        w = w_c * w_t
+        table = np.exp((-1j * duration * coupling.strength) * np.arange(int(w.max()) + 1))
+        phases = table[w]  # named, so numpy cannot reuse it as the output and
+        return state.amps * phases  # swap the operands of the complex product
+
+    @pytest.mark.parametrize("q,n", [(2, 11), (3, 7), (4, 6)])
+    def test_bitwise_digit_oracle_random_couplings(self, q, n):
+        rng = np.random.default_rng(q * 100 + n)
+        for _ in range(12):
+            sites = rng.permutation(n)
+            n_ctrl = int(rng.integers(1, n // 2))
+            n_tgt = int(rng.integers(1, n - n_ctrl + 1))
+            cuts = sorted(rng.choice(np.arange(1, n_tgt), size=min(2, n_tgt - 1),
+                                     replace=False).tolist()) if n_tgt > 1 else []
+            tgt_sites = sites[n_ctrl:n_ctrl + n_tgt]
+            targets = tuple(np.sort(t) for t in np.split(tgt_sites, cuts))
+            coup = PhaseCoupling(np.sort(sites[:n_ctrl]), targets, float(rng.uniform(0.01, 1)))
+            state = random_state(q, n, rng)
+            for duration in (float(rng.uniform(0.1, 5)), -float(rng.uniform(0.1, 5))):
+                for _warm in range(2):  # cold build, then the cached block
+                    got = evolve_phase(state, coup, duration)
+                    assert np.array_equal(got.amps, self.digit_oracle(state, coup, duration))
+            n_masked = n_ctrl + n_tgt
+            assert all(block.size == q**n_masked
+                       for block in coup.__dict__["_phase_cache"].values())
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_bitwise_digit_oracle_2d_masks(self, q):
+        lat = LatticeSpec(2, 4, q) if q == 2 else LatticeSpec(2, 3, q)
+        half = lat.side // 2 or 1
+        control = site_mask(Region((0, 0), half), lat)
+        targets = (site_mask(Region((half, half), half), lat),
+                   site_mask(Region((0, half), half), lat))
+        coup = PhaseCoupling(control, targets, 0.37)
+        state = random_state(q, lat.n_sites)
+        for duration in (1.7, -0.9):
+            got = evolve_phase(state, coup, duration)
+            assert np.array_equal(got.amps, self.digit_oracle(state, coup, duration))
+
     def test_masks_must_be_disjoint(self):
         with pytest.raises(PreconditionError):
             PhaseCoupling(np.array([0, 1]), (np.array([1, 2]),), 1.0)
@@ -370,6 +422,27 @@ class TestCapacityAndDump:
     def test_dump_threshold(self):
         state = StateVector(2, 1, np.array([math.sqrt(1 - 1e-26), 1e-13]))
         assert len(dump_amplitudes(state, threshold=1e-12)) == 1
+        with pytest.raises(PreconditionError):
+            dump_amplitudes(state, threshold=math.nan)
+
+    def test_csv_matches_reference_loop(self):
+        """The CSV dump is byte-identical to a per-amplitude reference loop."""
+        state = random_state(3, 7, np.random.default_rng(5))
+        threshold = 0.02  # drops some rows, keeps others
+        rows = []
+        for flat in range(state.amps.size):
+            a = state.amps[flat]
+            if abs(a) < threshold:
+                continue
+            digits, x = [], flat
+            for _ in range(state.n):
+                x, level = divmod(x, state.q)
+                digits.append(str(level))
+            rows.append("".join(digits) + f",{float(a.real)!r},{float(a.imag)!r}\r\n")
+        assert 0 < len(rows) < state.amps.size
+        buf = io.StringIO()
+        write_amplitudes_csv(state, buf, threshold=threshold)
+        assert buf.getvalue() == "basis,re,im\r\n" + "".join(rows)
 
     def test_csv_shape(self):
         lat = LatticeSpec(1, 2)
