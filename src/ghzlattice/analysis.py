@@ -158,6 +158,14 @@ def _prev_best_exponent(alpha: float, d: int) -> float:
     return alpha - d if alpha < d + 1 else 1.0
 
 
+def _speedup(alpha: float, d: int, r, r0: int) -> tuple[float, float, float]:
+    """(t_prev_best, t_protocol, their ratio) at side r; the protocol curve
+    starts at r0, so it is sampled at max(r, r0)."""
+    t_prev = table1_curves(alpha, d, r)["encode_prev_best"]
+    t_proto = plan(alpha, d, max(float(r), float(r0)), r0=r0, mode=CONTINUOUS).t_total
+    return t_prev, t_proto, t_prev / t_proto
+
+
 def speedup_crossover(
     alpha: float, d: int, r0: int = 2, r_max: float = 1e100,
     points_per_decade: int = 4,
@@ -168,11 +176,7 @@ def speedup_crossover(
     """
     n = int(points_per_decade * math.log10(r_max / r0)) + 1
     rs = np.logspace(math.log10(float(r0)), math.log10(r_max), n)
-    ratios = [
-        table1_curves(alpha, d, r)["encode_prev_best"]
-        / plan(alpha, d, r, r0=r0, mode=CONTINUOUS).t_total
-        for r in rs
-    ]
+    ratios = [_speedup(alpha, d, r, r0)[2] for r in rs]
     crossover = None
     for r, ratio in zip(rs, ratios):
         if ratio >= 1.0:
@@ -200,20 +204,14 @@ def speedup_report(alpha: float, d: int, r, r0: int = 2) -> dict:
         ratio = 1.0
         t_prev = t_proto = None
     else:
-        t_prev = table1_curves(alpha, d, r)["encode_prev_best"]
-        t_proto = plan(alpha, d, max(float(r), float(r0)), r0=r0, mode=CONTINUOUS).t_total
-        ratio = t_prev / t_proto
+        t_prev, t_proto, ratio = _speedup(alpha, d, r, r0)
 
     anchors = [max(float(r), 10.0 * r0), 1e3 * max(float(r), 10.0 * r0),
                1e6 * max(float(r), 10.0 * r0)]
     window_exponents = [
         fitted_exponent(alpha, d, a, 32.0 * a, n_points=8, r0=r0) for a in anchors
     ]
-    window_ratios = [
-        table1_curves(alpha, d, a)["encode_prev_best"]
-        / plan(alpha, d, a, r0=r0, mode=CONTINUOUS).t_total
-        for a in anchors
-    ]
+    window_ratios = [_speedup(alpha, d, a, r0)[2] for a in anchors]
     drifting_to_zero = all(
         b < a - 1e-3 for a, b in zip(window_exponents, window_exponents[1:])
     )

@@ -287,6 +287,7 @@ def _cmd_plan(o: dict) -> tuple[int, str]:
         return EXIT_OK, _plan_csv(p)
     payload = p.to_dict()
     payload["certificate"] = p.certify()
+    payload["notes"] = p.notes
     return EXIT_OK, _dump_json(payload)
 
 

@@ -25,9 +25,11 @@ real-valued merge factors and claims no certificate.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     PoleError,
@@ -64,6 +66,55 @@ def regime(alpha: float, d: int) -> str:
     raise UnsupportedRegimeError(f"alpha={alpha} > 2d+1={2*d+1} is out of scope")
 
 
+def _lam(alpha: float, d: int) -> float:
+    return 2.0 * d / alpha
+
+
+def _kappa(alpha: float, d: int, kappa_factor: float) -> float:
+    """kappa = log(kappa_factor)/log(2d/alpha), the polylog envelope exponent."""
+    return math.log(kappa_factor) / math.log(_lam(alpha, d))
+
+
+def _gamma(d: int) -> float:
+    """gamma = 3*sqrt(d), the stretched envelope rate."""
+    return 3.0 * math.sqrt(d)
+
+
+def _stretched_rate(d: int) -> float:
+    """g = gamma/(2d): the alpha = 2d merge factor grows like exp(g*sqrt(log r1))."""
+    return _gamma(d) / (2.0 * d)
+
+
+def _merge_interval(alpha: float, d: int, r1) -> tuple[float, float]:
+    """The (lower, upper) ends of the merge-factor interval at child side r1.
+
+    polylog:   (r1**(lam-1), 2*r1**(lam-1)], open below
+    stretched: [exp(g*sqrt(log r1)), 2*exp(g*sqrt(log r1))]
+    """
+    if alpha < 2 * d:
+        lower = float(r1) ** (_lam(alpha, d) - 1.0)
+    else:
+        lower = math.exp(_stretched_rate(d) * math.sqrt(math.log(r1)))
+    return lower, 2.0 * lower
+
+
+def _polylog_threshold(alpha: float, d: int) -> float:
+    return math.pi * (2.0 * math.sqrt(d)) ** alpha
+
+
+def _polylog_shortfall(params: RegimeParams, r1) -> str | None:
+    """None where the polylog simplifying assumption
+    K*log(r1)**kappa >= pi*(2*sqrt(d))**alpha holds at child side r1, else why not."""
+    lhs = params.K_alpha * math.log(r1) ** params.kappa_alpha
+    rhs = _polylog_threshold(params.alpha, params.d)
+    if lhs * (1 + 1e-12) >= rhs:
+        return None
+    return (
+        f"K*log(r1)**kappa = {lhs:.4g} < pi*(2*sqrt(d))**alpha = {rhs:.4g} "
+        f"at r1={r1}; the polylog envelope is not guaranteed here"
+    )
+
+
 def choose_m(alpha: float, d: int, r1) -> int:
     """Smallest integer merge factor in the regime's prescribed interval.
 
@@ -82,40 +133,26 @@ def choose_m(alpha: float, d: int, r1) -> int:
         except OverflowError:
             raise UnsupportedRegimeError(f"alpha={alpha} is too close to 2d={2 * d}: "
                                          "3**(1/(alpha-2d)) overflows") from None
-    if reg == POLYLOG:
-        lam = 2.0 * d / alpha
-        return math.floor(float(r1) ** (lam - 1.0)) + 1
-    if r1 < math.exp(8.0 / d):
+    if reg == STRETCHED and r1 < math.exp(8.0 / d):
         raise PreconditionError(
             f"alpha=2d merge rule needs r1 >= exp(8/d) ~ {math.exp(8.0/d):.1f}, got {r1}"
         )
-    gamma = 3.0 * math.sqrt(d)
-    return math.ceil(math.exp(gamma / (2.0 * d) * math.sqrt(math.log(r1))))
-
-
-def step2_time(alpha: float, d: int, m, r1) -> float:
-    """Duration of the controlled-phase merge: pi * d**(a/2) * (m*r1)**a / V**2.
-
-    Computed as pi * d**(a/2) * m**a * r1**(a-2d) (identical since V = r1**d),
-    which stays finite for the huge r1 reached by continuous-mode sweeps.
-    """
-    if m < 1 or r1 < 1:
-        raise PreconditionError(f"m and r1 must be >= 1, got m={m}, r1={r1}")
-    return (
-        math.pi
-        * d ** (alpha / 2.0)
-        * float(m) ** alpha
-        * float(r1) ** (alpha - 2.0 * d)
-    )
+    lower, _ = _merge_interval(alpha, d, r1)
+    return math.floor(lower) + 1 if reg == POLYLOG else math.ceil(lower)
 
 
 def merge_duration(alpha: float, d: int, m, r1, q: int = 2) -> float:
-    """Merge-phase duration for q-level sites.
+    """Duration of the controlled-phase merge of m**d side-r1 cubes, q-level sites.
 
-    Chosen so each control/target all-ones cube pair accumulates phase 2*pi/q
-    (pi for qubits, reproducing :func:`step2_time` exactly at q=2).
+    Chosen so each control/target all-ones cube pair accumulates phase 2*pi/q:
+    (2/q) * pi * d**(a/2) * (m*r1)**a / V**2 with V = r1**d.  Computed as
+    (2/q) * pi * d**(a/2) * m**a * r1**(a-2d), which stays finite for the huge
+    r1 reached by continuous-mode sweeps.
     """
-    return (2.0 / q) * step2_time(alpha, d, m, r1)
+    if not (0 < m < math.inf and 0 < r1 < math.inf):
+        raise PreconditionError(f"m and r1 must be finite and > 0, got m={m}, r1={r1}")
+    return (2.0 / q) * (math.pi * d ** (alpha / 2.0) * float(m) ** alpha
+                        * float(r1) ** (alpha - 2.0 * d))
 
 
 def k_alpha_min(
@@ -131,28 +168,28 @@ def k_alpha_min(
     stretched: 2**a * pi * d**(a/2) / (e**2 - 3)
     polylog:   smallest K with K*log(r0)**kappa >= pi*(2*sqrt(d))**a, i.e. the
                simplifying assumption holds from the base size up
+
+    The power and stretched numerators are the qubit merge time at r1 = 1.
     """
     reg = regime(alpha, d)
     if reg == POWER:
         if m is None:
             raise PreconditionError("power regime needs the merge factor m")
-        denom = float(m) ** (alpha - 2 * d) - 3.0
-        if denom <= 0:
+        rise = float(m) ** (alpha - 2 * d)
+        # above the pole both in float and in log space (no overflow near it)
+        if not (rise > 3.0 and math.log(m) * (alpha - 2 * d) > math.log(3.0)):
             raise PoleError(
                 f"m={m} is at or below the pole m**(alpha-2d) <= 3 for alpha={alpha}, d={d}"
             )
-        return math.pi * d ** (alpha / 2.0) * float(m) ** alpha / denom
+        return merge_duration(alpha, d, m, 1) / (rise - 3.0)
     if reg == STRETCHED:
-        return 2.0**alpha * math.pi * d ** (alpha / 2.0) / (math.e**2 - 3.0)
+        return merge_duration(alpha, d, 2, 1) / (math.e**2 - 3.0)
     if not 3.0 < kappa_factor <= 4.0:
         raise PreconditionError(f"kappa_factor must be in (3, 4], got {kappa_factor}")
     if r0 <= 1:
         raise PreconditionError(f"polylog minimum needs base r0 > 1, got {r0}")
-    kappa = math.log(kappa_factor) / math.log(2.0 * d / alpha)
-    return (
-        math.pi
-        * (2.0 * math.sqrt(d)) ** alpha
-        / ((kappa_factor - 3.0) * math.log(r0) ** kappa)
+    return _polylog_threshold(alpha, d) / (
+        (kappa_factor - 3.0) * math.log(r0) ** _kappa(alpha, d, kappa_factor)
     )
 
 
@@ -162,34 +199,48 @@ def bound_kernel(alpha: float, d: int, r, kappa_factor: float = 4.0) -> float:
     if r < 1:
         raise PreconditionError(f"r must be >= 1, got {r}")
     if reg == POLYLOG:
-        kappa = math.log(kappa_factor) / math.log(2.0 * d / alpha)
-        return math.log(r) ** kappa
+        return math.log(r) ** _kappa(alpha, d, kappa_factor)
     if reg == STRETCHED:
-        return math.exp(3.0 * math.sqrt(d) * math.sqrt(math.log(r)))
+        return math.exp(_gamma(d) * math.sqrt(math.log(r)))
     return float(r) ** (alpha - 2 * d)
 
 
 @dataclass(frozen=True)
 class RegimeParams:
-    """Constants of one (alpha, d) regime plus the chosen base case.
+    """The chosen constants of one (alpha, d) regime and its base case.
 
     ``K_alpha`` is stored as given; whether it meets the regime minimum is a
     certificate question (see :meth:`SchedulePlan.certify`), not a construction
-    error, so envelopes with unit prefactor remain expressible.
+    error, so envelopes with unit prefactor remain expressible.  The regime and
+    its derived constants are read-only properties.
     """
 
     alpha: float
     d: int
-    regime: str
-    gamma: float
-    lam: float
-    kappa_alpha: float | None
     K_alpha: float
     r0: int
     t_base: float
     kappa_factor: float = 4.0
 
+    @property
+    def regime(self) -> str:
+        return regime(self.alpha, self.d)
+
+    @property
+    def gamma(self) -> float:
+        return _gamma(self.d)
+
+    @property
+    def lam(self) -> float:
+        return _lam(self.alpha, self.d)
+
+    @property
+    def kappa_alpha(self) -> float | None:
+        polylog = self.regime == POLYLOG
+        return _kappa(self.alpha, self.d, self.kappa_factor) if polylog else None
+
     def bound(self, r) -> float:
+        """The total-time envelope K * kernel(r)."""
         return self.K_alpha * bound_kernel(self.alpha, self.d, r, self.kappa_factor)
 
 
@@ -202,7 +253,12 @@ def make_params(
     kappa_factor: float = 4.0,
     m=None,
 ) -> RegimeParams:
-    """RegimeParams with defaults: K = regime minimum, t_base = envelope at r0."""
+    """RegimeParams with defaults: K = regime minimum, t_base = envelope at r0.
+
+    Without K or m, the power-regime minimum is taken at the m of
+    :func:`choose_m`; where that m is not resolvably above the pole in double
+    precision, raises UnsupportedRegimeError.
+    """
     reg = regime(alpha, d)
     if r0 < 1:
         raise PreconditionError(f"base side r0 must be >= 1, got {r0}")
@@ -212,31 +268,25 @@ def make_params(
         raise PreconditionError(f"t_base must be finite and >= 0, got {t_base}")
     if reg == POLYLOG and not 3.0 < kappa_factor <= 4.0:
         raise PreconditionError(f"kappa_factor must be in (3, 4], got {kappa_factor}")
-    lam = 2.0 * d / alpha
-    kappa = math.log(kappa_factor) / math.log(lam) if reg == POLYLOG else None
-    if K_alpha is None:
-        if reg == POWER and m is None:
-            m = choose_m(alpha, d, r0)
+    if K_alpha is None and reg == POWER and m is None:
+        m = choose_m(alpha, d, r0)
+        try:
+            K_alpha = k_alpha_min(alpha, d, m=m)
+        except (PoleError, OverflowError):
+            K_alpha = math.inf
+        if not K_alpha < math.inf:
+            raise UnsupportedRegimeError(
+                f"alpha={alpha} is too close to 2d={2 * d}: m={m:.6g} is not resolvably "
+                "above the pole m**(alpha-2d) = 3 in double precision; pass K_alpha "
+                "and forced_m"
+            )
+    elif K_alpha is None:
         K_alpha = k_alpha_min(alpha, d, m=m, r0=r0, kappa_factor=kappa_factor)
+    params = RegimeParams(alpha=alpha, d=d, K_alpha=K_alpha, r0=r0, t_base=t_base,
+                          kappa_factor=kappa_factor)
     if t_base is None:
-        t_base = K_alpha * bound_kernel(alpha, d, r0, kappa_factor)
-    return RegimeParams(
-        alpha=alpha,
-        d=d,
-        regime=reg,
-        gamma=3.0 * math.sqrt(d),
-        lam=lam,
-        kappa_alpha=kappa,
-        K_alpha=K_alpha,
-        r0=r0,
-        t_base=t_base,
-        kappa_factor=kappa_factor,
-    )
-
-
-def bound_t(alpha: float, d: int, r, params: RegimeParams) -> float:
-    """Total-time envelope K * kernel(r) for the given parameters."""
-    return params.K_alpha * bound_kernel(alpha, d, r, params.kappa_factor)
+        params = replace(params, t_base=params.bound(r0))
+    return params
 
 
 @dataclass(frozen=True)
@@ -335,30 +385,19 @@ class SchedulePlan:
             return True  # base case holds by fiat
         m, r1 = node.m, node.r1
         slack = 1 + 1e-12
-        try:
-            if p.regime == POWER:
-                kmin = k_alpha_min(p.alpha, p.d, m=m)
-                # m > 3**(1/(alpha-2d)), in log space: no overflow near the pole
-                return (
-                    math.log(m) * (p.alpha - 2 * p.d) > math.log(3.0)
-                    and p.K_alpha * slack >= kmin
-                )
-            if p.regime == POLYLOG:
-                lower = float(r1) ** (p.lam - 1.0)
-                assumption = (
-                    p.K_alpha * math.log(r1) ** p.kappa_alpha * slack
-                    >= math.pi * (2.0 * math.sqrt(p.d)) ** p.alpha
-                )
-                kmin = k_alpha_min(p.alpha, p.d, r0=p.r0, kappa_factor=p.kappa_factor)
-            else:
-                lower = math.exp(p.gamma / (2.0 * p.d) * math.sqrt(math.log(r1)))
-                assumption = r1 * slack >= math.exp(8.0 / p.d)
-                kmin = k_alpha_min(p.alpha, p.d)
+        try:  # k_alpha_min raises PoleError for an m at or below the power pole
+            kmin = k_alpha_min(p.alpha, p.d, m=m, r0=p.r0, kappa_factor=p.kappa_factor)
         except (PoleError, PreconditionError):
             return False
-        in_interval = lower / slack <= m <= 2.0 * lower * slack
+        if p.regime == POWER:
+            return p.K_alpha * slack >= kmin
+        lower, upper = _merge_interval(p.alpha, p.d, r1)
         if p.regime == POLYLOG:
-            in_interval = lower < m <= 2.0 * lower * slack
+            in_interval = lower < m <= upper * slack
+            assumption = _polylog_shortfall(p, r1) is None
+        else:
+            in_interval = lower / slack <= m <= upper * slack
+            assumption = r1 * slack >= math.exp(8.0 / p.d)
         return in_interval and assumption and p.K_alpha * slack >= kmin
 
     def to_dict(self) -> dict:
@@ -456,38 +495,18 @@ def plan(
         ms = [int(m) for m in forced_m]
         if any(m < 2 for m in ms):
             raise PreconditionError("forced merge factors must be >= 2")
-        prod = r0
-        for m in ms:
-            prod *= m
-        if prod != target_r:
-            raise UnreachableTargetError(
-                target_r, below=min(prod, target_r), above=max(prod, target_r)
-            )
     else:
         ms = _ladder(alpha, d, target_r, r0)
-
-    node = ScheduleNode(
-        r=r0, r1=None, m=None, t1=None, t2=None, t_total=params.t_base,
-        child=None, dim=d,
-    )
-    for m in ms:
-        r1, t1 = node.r, node.t_total
-        t2 = merge_duration(alpha, d, m, r1, q=q)
-        node = ScheduleNode(
-            r=m * r1,
-            r1=r1,
-            m=m,
-            t1=t1,
-            t2=t2,
-            t_total=3.0 * t1 + t2,
-            child=node,
-            dim=d,
-            forced=forced_m is not None,
+    sizes = list(itertools.accumulate(ms, operator.mul, initial=r0))
+    if sizes[-1] != target_r:
+        raise UnreachableTargetError(
+            target_r, below=min(sizes[-1], target_r), above=max(sizes[-1], target_r)
         )
 
     out = SchedulePlan(
         params=params,
-        root=node,
+        root=_chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
+                    forced=forced_m is not None),
         levels=ms,
         mode="integer-exact",
         q=q,
@@ -498,20 +517,30 @@ def plan(
     return out
 
 
+def _chain(params: RegimeParams, base_r, t_base: float, levels, q: int,
+           forced: bool = False) -> ScheduleNode:
+    """Root of the node chain: a base node of side base_r and time t_base, then
+    one merge node per (r, m) in levels, base outward, each taking r1 from its
+    child."""
+    node = ScheduleNode(r=base_r, r1=None, m=None, t1=None, t2=None, t_total=t_base,
+                        child=None, dim=params.d)
+    for r, m in levels:
+        t1 = node.t_total
+        t2 = merge_duration(params.alpha, params.d, m, node.r, q=q)
+        node = ScheduleNode(
+            r=r, r1=node.r, m=m, t1=t1, t2=t2, t_total=3.0 * t1 + t2,
+            child=node, dim=params.d, forced=forced,
+        )
+    return node
+
+
 def _warn_on_weak_assumptions(p: SchedulePlan) -> None:
     """Surface (rather than guess around) the polylog small-r1 assumption."""
     if p.params.regime != POLYLOG:
         return
-    rhs = math.pi * (2.0 * math.sqrt(p.params.d)) ** p.params.alpha
     for node in p.nodes():
-        if node.is_base:
-            continue
-        lhs = p.params.K_alpha * math.log(node.r1) ** p.params.kappa_alpha
-        if lhs < rhs * (1 - 1e-12):
-            msg = (
-                f"K*log(r1)**kappa = {lhs:.4g} < pi*(2*sqrt(d))**alpha = {rhs:.4g} "
-                f"at r1={node.r1}; the polylog envelope is not guaranteed here"
-            )
+        msg = None if node.is_base else _polylog_shortfall(p.params, node.r1)
+        if msg:
             p.notes.append(msg)
             warnings.warn(msg, AssumptionWarning, stacklevel=3)
 
@@ -530,16 +559,11 @@ def _continuous_split(params: RegimeParams, r: float):
     if params.regime == POLYLOG:
         r1 = r ** (1.0 / params.lam)
         return r / r1, r1
-    beta = params.gamma / (2.0 * params.d)
+    beta = _stretched_rate(params.d)
     s = max(math.log(r / 2.0), 0.0)  # r <= 2 degenerates to a single halving
     u = (-beta + math.sqrt(beta * beta + 4.0 * s)) / 2.0
     r1 = math.exp(u * u)
     return r / r1, r1
-
-
-def _raw_step2(alpha: float, d: int, m: float, r1: float) -> float:
-    # step2_time without the r1 >= 1 guard; continuous chains may pass r1 < 1
-    return math.pi * d ** (alpha / 2.0) * m**alpha * r1 ** (alpha - 2.0 * d)
 
 
 def _continuous_base(params: RegimeParams, rho: float) -> float:
@@ -558,14 +582,12 @@ def _continuous_base(params: RegimeParams, rho: float) -> float:
     if params.regime == POWER:
         return params.K_alpha * rho ** (params.alpha - 2.0 * params.d)
     if params.regime == POLYLOG:
-        a_merge = math.pi * params.d ** (params.alpha / 2.0)
-        beta = math.log(3.0) / math.log(params.lam)
+        a_merge = merge_duration(params.alpha, params.d, 1, 1)  # qubit t2 of any level
+        beta = _kappa(params.alpha, params.d, 3.0)
         t0 = params.t_base
         x = math.log(max(rho, 1.0)) / math.log(params.r0)
         return max((t0 + a_merge / 2.0) * x**beta - a_merge / 2.0, 0.0)
-    return params.K_alpha * bound_kernel(
-        params.alpha, params.d, max(rho, 1.0), params.kappa_factor
-    )
+    return params.bound(max(rho, 1.0))
 
 
 def _continuous_plan(params: RegimeParams, target_r, q: int = 2) -> SchedulePlan:
@@ -575,33 +597,17 @@ def _continuous_plan(params: RegimeParams, target_r, q: int = 2) -> SchedulePlan
     if params.regime == POLYLOG and params.r0 <= 1:
         raise PreconditionError("polylog continuous mode needs base r0 > 1")
 
-    splits = []
+    levels = []  # (r, m), root first
     r = target_r
     while r > params.r0:
         m, r1 = _continuous_split(params, r)
-        splits.append((r, m, r1))
+        levels.append((r, m))
         r = r1
-    node = ScheduleNode(
-        r=r,
-        r1=None,
-        m=None,
-        t1=None,
-        t2=None,
-        t_total=_continuous_base(params, r),
-        child=None,
-        dim=params.d,
-    )
-    for r_here, m, r1 in reversed(splits):
-        t1 = node.t_total
-        t2 = (2.0 / q) * _raw_step2(params.alpha, params.d, m, r1)
-        node = ScheduleNode(
-            r=r_here, r1=r1, m=m, t1=t1, t2=t2, t_total=3.0 * t1 + t2,
-            child=node, dim=params.d,
-        )
+    levels.reverse()
     return SchedulePlan(
         params=params,
-        root=node,
-        levels=[m for _, m, _ in reversed(splits)],
+        root=_chain(params, r, _continuous_base(params, r), levels, q),
+        levels=[m for _, m in levels],
         mode="continuous-analytic",
         q=q,
         lattice=None,
@@ -625,10 +631,9 @@ def t_star(alpha: float, d: int, n) -> float:
     if n < 1:
         raise PreconditionError(f"n must be >= 1, got {n}")
     if reg == POLYLOG:
-        kappa = math.log(4.0) / math.log(2.0 * d / alpha)
-        return math.log(n) ** kappa
+        return math.log(n) ** _kappa(alpha, d, 4.0)
     if reg == STRETCHED:
-        return math.exp(3.0 * math.sqrt(d) * math.sqrt(math.log(n) / d))
+        return math.exp(_gamma(d) * math.sqrt(math.log(n) / d))
     return float(n) ** (alpha / d - 2.0)
 
 
@@ -645,12 +650,15 @@ def gate_count_upper(
         raise UnsupportedRegimeError(f"alpha={alpha} <= d={d} is out of scope")
     if n < 1 or t < 0:
         raise PreconditionError(f"need n >= 1 and t >= 0, got n={n}, t={t}")
-    if at_t_star:
-        regime(alpha, d)  # t_star only exists for alpha <= 2d+1
-        return float(n) ** 2 if alpha <= 2 * d else float(n) ** (alpha / d)
-    if alpha <= 2 * d:
-        return float(n) ** 2 * t
-    return (float(n) * t) ** (1.0 + d / (alpha - d))
+    try:
+        if at_t_star:
+            regime(alpha, d)  # t_star only exists for alpha <= 2d+1
+            return float(n) ** 2 if alpha <= 2 * d else float(n) ** (alpha / d)
+        if alpha <= 2 * d:
+            return float(n) ** 2 * t
+        return (float(n) * t) ** (1.0 + d / (alpha - d))
+    except OverflowError:
+        raise PreconditionError(f"gate-count bound overflows at n={n}, t={t}") from None
 
 
 def table1_curves(alpha: float, d: int, r) -> dict:

@@ -16,7 +16,11 @@ from ghzlattice.analysis import (
     write_gate_bound_csv,
     write_scaling_csv,
 )
-from ghzlattice.errors import UnreachableTargetError, UnsupportedRegimeError
+from ghzlattice.errors import (
+    PreconditionError,
+    UnreachableTargetError,
+    UnsupportedRegimeError,
+)
 from ghzlattice.scheduler import plan, protocol_time, table1_curves
 
 
@@ -138,8 +142,20 @@ class TestSpeedupReport:
                 protocol_time(alpha, 2, 10 * r_star)
             assert ratio >= 1.0 - 1e-9, alpha
 
+    def test_crossover_grid_starting_just_below_r0(self):
+        # logspace's first point rounds to 7.999...: the protocol curve is
+        # sampled at its base size instead of refusing a target below r0
+        assert np.logspace(math.log10(8.0), 40.0, 3)[0] < 8
+        r_star = speedup_crossover(2.5, 1, r0=8, r_max=1e40)
+        assert r_star is not None and r_star > 8
+
 
 class TestGateBoundTable:
+    def test_overflow_is_a_precondition_failure(self):
+        # n**(alpha/d) = 1e500 leaves the float range
+        with pytest.raises(PreconditionError):
+            gate_bound_table(2.5, 1, [1e200])
+
     def test_power_row(self):
         row = gate_bound_table(2.5, 1, [10**4])[0]
         assert row["t_star"] == pytest.approx(100.0, rel=1e-12)

@@ -19,6 +19,7 @@ from ghzlattice.cli import (
     EXIT_USAGE,
     run,
 )
+from ghzlattice.scheduler import AssumptionWarning
 
 ALL_CODES = {0, 1, 2, 3, 4, 5, 6, 7}
 
@@ -60,6 +61,18 @@ class TestPlanCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out)["mode"] == "continuous-analytic"
+
+    def test_notes_in_json(self):
+        with pytest.warns(AssumptionWarning):
+            code, out, _ = run_capture(
+                ["plan", "--alpha", "1.5", "--r", "8", "--r0", "2", "--k-alpha", "1e-3"]
+            )
+        assert code == EXIT_OK
+        notes = json.loads(out)["notes"]
+        assert notes and all("not guaranteed" in note for note in notes)
+        code, out, _ = run_capture(["plan", "--alpha", "2.5", "--r", "20"])
+        assert code == EXIT_OK
+        assert json.loads(out)["notes"] == []
 
     def test_unreachable(self):
         code, _, err = run_capture(["plan", "--alpha", "2.5", "--r", "50"])
@@ -241,6 +254,8 @@ class TestBoundaryChecks:
         (["plan", "--alpha", "2.5", "--d", "1", "--r", "inf", "--mode",
           "continuous-analytic"], EXIT_PRECONDITION),
         (["plan", "--alpha", "2.0001", "--d", "1", "--r", "20"], EXIT_REGIME),
+        (["plan", "--alpha", "2.01", "--d", "1", "--r", "20"], EXIT_REGIME),
+        (["plan", "--alpha", "2.03", "--d", "1", "--r", "20"], EXIT_REGIME),
         (["bounds", "--alpha", "2.5", "--d", "1", "--n-values", "inf"],
          EXIT_PRECONDITION),
         (["bounds", "--alpha", "2.5", "--d", "1", "--n-values", "1e200"],

@@ -1,8 +1,11 @@
 import json
 import math
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ghzlattice.errors import (
     PoleError,
@@ -12,8 +15,8 @@ from ghzlattice.errors import (
 )
 from ghzlattice.scheduler import (
     AssumptionWarning,
+    RegimeParams,
     bound_kernel,
-    bound_t,
     choose_m,
     gate_count_upper,
     k_alpha_min,
@@ -22,7 +25,6 @@ from ghzlattice.scheduler import (
     plan,
     protocol_time,
     regime,
-    step2_time,
     t_star,
     table1_curves,
 )
@@ -102,9 +104,9 @@ class TestChooseM:
 
 class TestStep2Time:
     def test_worked_values(self):
-        assert step2_time(3.0, 1, 2, 2) == pytest.approx(16 * PI, rel=1e-14)
-        assert step2_time(2.0, 2, 2, 2) == pytest.approx(2 * PI, rel=1e-14)
-        assert step2_time(1.7, 1, 1, 1) == pytest.approx(PI, rel=1e-14)
+        assert merge_duration(3.0, 1, 2, 2, q=2) == pytest.approx(16 * PI, rel=1e-14)
+        assert merge_duration(2.0, 2, 2, 2, q=2) == pytest.approx(2 * PI, rel=1e-14)
+        assert merge_duration(1.7, 1, 1, 1, q=2) == pytest.approx(PI, rel=1e-14)
 
     def test_m_scaling(self):
         rng = np.random.default_rng(3)
@@ -113,15 +115,22 @@ class TestStep2Time:
             alpha = rng.uniform(d + 0.05, 2 * d + 1)
             m = int(rng.integers(1, 30))
             r1 = int(rng.integers(1, 50))
-            ratio = step2_time(alpha, d, 2 * m, r1) / step2_time(alpha, d, m, r1)
+            ratio = (merge_duration(alpha, d, 2 * m, r1, q=2)
+                     / merge_duration(alpha, d, m, r1, q=2))
             assert ratio == pytest.approx(2.0**alpha, rel=1e-12)
 
     def test_qudit_duration(self):
         # q=2 reproduces the qubit merge time exactly; q=3 takes 2/3 of it
-        assert merge_duration(2.5, 1, 2, 2, q=2) == step2_time(2.5, 1, 2, 2)
+        assert merge_duration(2.5, 1, 2, 2, q=2) == PI * 2.0**2.5 * 2.0**0.5
         assert merge_duration(2.5, 1, 2, 2, q=3) == pytest.approx(
-            2 / 3 * step2_time(2.5, 1, 2, 2), rel=1e-15
+            2 / 3 * merge_duration(2.5, 1, 2, 2, q=2), rel=1e-15
         )
+
+    @pytest.mark.parametrize("m,r1", [(0, 2), (2, 0), (-1, 2), (math.nan, 2),
+                                      (2, math.inf)])
+    def test_rejects_non_finite_or_non_positive(self, m, r1):
+        with pytest.raises(PreconditionError):
+            merge_duration(2.5, 1, m, r1)
 
 
 class TestKAlphaMin:
@@ -137,6 +146,14 @@ class TestKAlphaMin:
         with pytest.raises(PoleError):
             k_alpha_min(2.5, 1, m=9)  # 9**0.5 = 3 exactly
 
+    def test_pole_in_log_space(self):
+        # m**(alpha-2d) - 3 rounds to one ulp above 0, but log(m)*(alpha-2d)
+        # <= log 3: the m choose_m returns here is not resolvably above the pole
+        m = choose_m(2.031, 1, 2)
+        assert float(m) ** (2.031 - 2) - 3.0 > 0
+        with pytest.raises(PoleError):
+            k_alpha_min(2.031, 1, m=m)
+
     def test_polylog_assumption_at_base(self):
         # the returned K makes K * log(r0)**kappa equal pi*(2 sqrt d)**alpha
         for alpha, d, r0 in [(1.5, 1, 2), (1.2, 1, 2), (3.0, 2, 2), (2.5, 2, 4)]:
@@ -150,15 +167,15 @@ class TestKAlphaMin:
 class TestBoundT:
     def test_polylog_at_1(self):
         params = make_params(1.5, 1, K_alpha=1.0)
-        assert bound_t(1.5, 1, 1, params) == 0.0
+        assert params.bound(1) == 0.0
 
     def test_power(self):
         params = make_params(2.5, 1, K_alpha=1.0)
-        assert bound_t(2.5, 1, 16, params) == pytest.approx(4.0, rel=1e-14)
+        assert params.bound(16) == pytest.approx(4.0, rel=1e-14)
 
     def test_stretched(self):
         params = make_params(2.0, 1, K_alpha=1.0)
-        assert bound_t(2.0, 1, math.e**4, params) == pytest.approx(
+        assert params.bound(math.e**4) == pytest.approx(
             math.exp(6.0), rel=1e-12
         )
 
@@ -173,7 +190,24 @@ class TestBoundT:
         with pytest.raises(UnsupportedRegimeError):
             bound_kernel(0.9, 1, 10)
         with pytest.raises(UnsupportedRegimeError):
-            bound_t(3.2, 1, 10, params)
+            replace(params, alpha=3.2).bound(10)
+
+
+class TestRegimeParams:
+    def test_fields_are_the_chosen_values(self):
+        assert [f.name for f in fields(RegimeParams)] == [
+            "alpha", "d", "K_alpha", "r0", "t_base", "kappa_factor"]
+
+    def test_derived_constants(self):
+        params = make_params(1.5, 1, kappa_factor=3.5)
+        assert params.regime == "polylog"
+        assert params.gamma == 3.0
+        assert params.lam == 2 / 1.5
+        assert params.kappa_alpha == math.log(3.5) / math.log(2 / 1.5)
+        assert replace(params, alpha=2.5).regime == "power"
+        assert replace(params, alpha=2.5).kappa_alpha is None
+        with pytest.raises(AttributeError):
+            params.lam = 2.0
 
 
 def ladder_target(alpha, d, r0, depth):
@@ -311,6 +345,21 @@ class TestPlan:
         with pytest.raises(UnsupportedRegimeError):
             plan(2.0001, 1, 20, r0=2)
 
+    @pytest.mark.parametrize("alpha", [2.002, 2.004, 2.01, 2.03])
+    def test_near_pole_default_plan_unsupported(self, alpha):
+        # choose_m's m is not resolvably above the pole in double precision
+        with pytest.raises(UnsupportedRegimeError, match="resolvably above the pole"):
+            plan(alpha, 1, 20, r0=2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_near_pole_default_k_finite_or_unsupported(self, d):
+        for k in np.linspace(0.3, 6.0, 60):
+            try:
+                params = make_params(2 * d + 10.0 ** -float(k), d)
+            except UnsupportedRegimeError:
+                continue
+            assert 0 < params.K_alpha < math.inf
+
     def test_near_pole_forced_plan_certifies(self):
         p = plan(2.0001, 1, 20, r0=2, K_alpha=1.0, forced_m=[10])
         assert [rec["preconditions_met"] for rec in p.certify()] == [False, True]
@@ -369,6 +418,55 @@ class TestContinuousMode:
             assert math.isfinite(t) and t > 0
 
 
+@st.composite
+def plan_cases(draw):
+    d = draw(st.sampled_from([1, 2]))
+    reg = draw(st.sampled_from(["polylog", "stretched", "power"]))
+    if reg == "polylog":
+        alpha = draw(st.floats(d + 0.05, 2 * d - 0.05))
+    elif reg == "stretched":
+        alpha = 2.0 * d
+    else:
+        alpha = draw(st.floats(2 * d + 0.05, 2 * d + 1))
+    q = draw(st.sampled_from([2, 3, 4]))
+    r0 = draw(st.sampled_from([1, 2, 3]))
+    forced = draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
+    return reg, alpha, d, q, r0, forced
+
+
+def quiet_plan(*args, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AssumptionWarning)
+        return plan(*args, **kw)
+
+
+class TestPlanTelescoping:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(plan_cases())
+    def test_integer_exact(self, case):
+        _, alpha, d, q, r0, forced = case
+        # the polylog minimum K needs r0 > 1
+        p = quiet_plan(alpha, d, r0 * math.prod(forced), r0=r0, q=q, forced_m=forced,
+                       K_alpha=1.0 if r0 == 1 else None)
+        assert p.root.r == r0 * math.prod(forced)
+        for node in p.nodes()[:-1]:
+            assert node.r1 == node.child.r
+            assert node.t1 == node.child.t_total
+            assert node.t2 == merge_duration(alpha, d, node.m, node.r1, q)
+            assert node.t_total == 3 * node.t1 + node.t2
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(plan_cases(), st.floats(0.0, 1.0))
+    def test_continuous(self, case, frac):
+        reg, alpha, d, q, r0, _ = case
+        assume(not (reg == "polylog" and r0 == 1))  # needs base r0 > 1
+        r = r0 * (1e12 / r0) ** frac
+        p = plan(alpha, d, r, r0=r0, q=q, mode="continuous-analytic")
+        for node in p.nodes()[:-1]:
+            assert node.r1 == node.child.r
+            assert node.t_total == 3 * node.t1 + node.t2
+
+
 class TestTStar:
     def test_power(self):
         assert t_star(2.5, 1, 100) == pytest.approx(10.0, rel=1e-14)
@@ -388,6 +486,11 @@ class TestTStar:
 
 
 class TestGateCountUpper:
+    @pytest.mark.parametrize("kw", [{"at_t_star": True}, {"t": 1.0}])
+    def test_overflow_is_a_precondition_failure(self, kw):
+        with pytest.raises(PreconditionError):
+            gate_count_upper(2.5, 1, 1e200, **kw)
+
     def test_low_alpha(self):
         assert gate_count_upper(1.5, 1, 10, 2.0) == pytest.approx(200.0, rel=1e-14)
 
