@@ -254,14 +254,14 @@ class TestBoundaryChecks:
         (["plan", "--alpha", "2.5", "--d", "1", "--r", "inf", "--mode",
           "continuous-analytic"], EXIT_PRECONDITION),
         (["plan", "--alpha", "2.0001", "--d", "1", "--r", "20"], EXIT_REGIME),
-        (["plan", "--alpha", "2.01", "--d", "1", "--r", "20"], EXIT_REGIME),
-        (["plan", "--alpha", "2.03", "--d", "1", "--r", "20"], EXIT_REGIME),
         (["bounds", "--alpha", "2.5", "--d", "1", "--n-values", "inf"],
          EXIT_PRECONDITION),
         (["bounds", "--alpha", "2.5", "--d", "1", "--n-values", "1e200"],
          EXIT_PRECONDITION),  # n**2.5 overflows a float
         (["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--k-alpha", "1e308"],
          EXIT_PRECONDITION),  # t_total overflows to inf: refused, not printed
+        (["plan", "--alpha", "2.01", "--d", "1", "--r", "20"], EXIT_REGIME),
+        (["plan", "--alpha", "2.03", "--d", "1", "--r", "20"], EXIT_REGIME),
     ])
     def test_refused_in_time(self, argv, code):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
