@@ -262,7 +262,7 @@ def _pairs(values) -> list:
 def _plan_csv(p: scheduler.SchedulePlan) -> str:
     buf = io.StringIO()
     buf.write("r,r1,m,t1,t2,t_total,forced\n")
-    for node in p.nodes():
+    for node in p.nodes:
         row = [
             repr(node.r), "" if node.r1 is None else repr(node.r1),
             "" if node.m is None else repr(node.m),

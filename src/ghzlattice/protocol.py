@@ -210,7 +210,7 @@ class _Machine:
         self.gate = hadamard_matrix() if gate_mode == GATE_HADAMARD else dft_matrix(self.q)
 
         # nodes[level]: level 0 is the base case, level L the plan root
-        self.nodes = list(reversed(plan.nodes()))
+        self.nodes = plan.nodes[::-1]
         self.n_levels = len(self.nodes) - 1
         # cubes[level]: every cube of that side inside the region; merges[cube]:
         # the merge structure of each cube above the base level

@@ -293,9 +293,8 @@ def make_params(
 class ScheduleNode:
     """One recursion level: a side-``r`` cube built from ``m**d`` side-``r1`` cubes.
 
-    All ``m**d`` children share one schedule, so ``child`` stores it once;
-    ``children`` expands to the full reference tuple.  A base-case node has
-    ``child is None`` and ``t_total`` equal to the base encode time.
+    All ``m**d`` sub-cubes share one schedule, the next node of the plan.  A
+    base-case node has ``m is None`` and ``t_total`` equal to the base encode time.
     """
 
     r: int | float
@@ -304,38 +303,20 @@ class ScheduleNode:
     t1: float | None
     t2: float | None
     t_total: float
-    child: "ScheduleNode | None"
-    dim: int = 1
     forced: bool = False
 
     @property
     def is_base(self) -> bool:
-        return self.child is None
-
-    @property
-    def n_children(self) -> int | None:
-        """m**d for integer merge factors, None for continuous ones."""
-        if self.is_base:
-            return 0
-        if isinstance(self.m, int) or float(self.m).is_integer():
-            return int(round(self.m)) ** self.dim
-        return None
-
-    @property
-    def children(self) -> tuple:
-        if self.is_base:
-            return ()
-        n = self.n_children
-        return (self.child,) * (n if n else 1)
+        return self.m is None
 
 
 @dataclass
 class SchedulePlan:
-    """A full recursion tree plus the regime constants it was built with."""
+    """One node per recursion level, root first and base last, plus the regime
+    constants the plan was built with."""
 
     params: RegimeParams
-    root: ScheduleNode
-    levels: list  # merge factors, ordered from the base outward
+    nodes: tuple[ScheduleNode, ...]
     mode: str
     q: int = 2
     forced: bool = False
@@ -343,16 +324,17 @@ class SchedulePlan:
     notes: list = field(default_factory=list)
 
     @property
+    def root(self) -> ScheduleNode:
+        return self.nodes[0]
+
+    @property
+    def levels(self) -> list:
+        """Merge factors, ordered from the base outward."""
+        return [node.m for node in reversed(self.nodes) if not node.is_base]
+
+    @property
     def t_total(self) -> float:
         return self.root.t_total
-
-    def nodes(self) -> list[ScheduleNode]:
-        """Distinct nodes, root first, base last."""
-        out, node = [], self.root
-        while node is not None:
-            out.append(node)
-            node = node.child
-        return out
 
     def certify(self) -> list[dict]:
         """Per-node bound check: t_total <= K*kernel(r), plus precondition audit.
@@ -362,7 +344,7 @@ class SchedulePlan:
         in the prescribed interval (``preconditions_met``).
         """
         recs = []
-        for node in self.nodes():
+        for node in self.nodes:
             bound = self.params.bound(node.r)
             recs.append(
                 {
@@ -401,25 +383,17 @@ class SchedulePlan:
         return in_interval and assumption and p.K_alpha * slack >= kmin
 
     def to_dict(self) -> dict:
-        """JSON-ready tree.
+        """JSON-ready plan; ``nodes`` lists the levels root first, like the CSV rows.
 
-        All ``m**d`` children of a node are identical by construction, so the
-        shared child subtree is serialized once; ``n_children`` records the
-        multiplicity.
+        All ``m**d`` sub-cubes of a level share the next node's schedule, so each
+        level is serialized once; ``n_children`` records the multiplicity (m**d,
+        0 at the base, None for a real-valued m).
         """
 
-        def node_dict(node: ScheduleNode) -> dict:
-            return {
-                "r": node.r,
-                "r1": node.r1,
-                "m": node.m,
-                "t1": node.t1,
-                "t2": node.t2,
-                "t_total": node.t_total,
-                "forced": node.forced,
-                "n_children": node.n_children,
-                "children": [] if node.is_base else [node_dict(node.child)],
-            }
+        def n_children(m) -> int | None:
+            if m is None:
+                return 0
+            return int(m) ** self.params.d if float(m).is_integer() else None
 
         return {
             "alpha": self.params.alpha,
@@ -433,9 +407,14 @@ class SchedulePlan:
             "kappa_alpha": self.params.kappa_alpha,
             "r0": self.params.r0,
             "t_base": self.params.t_base,
-            "levels": list(self.levels),
+            "levels": self.levels,
             "t_total": self.t_total,
-            "tree": node_dict(self.root),
+            "nodes": [
+                {"r": node.r, "r1": node.r1, "m": node.m, "t1": node.t1, "t2": node.t2,
+                 "t_total": node.t_total, "forced": node.forced,
+                 "n_children": n_children(node.m)}
+                for node in self.nodes
+            ],
         }
 
 
@@ -465,7 +444,7 @@ def plan(
     mode: str = "integer-exact",
     kappa_factor: float = 4.0,
 ) -> SchedulePlan:
-    """Build the recursion tree reaching side ``target_r`` from base side ``r0``.
+    """Build the recursion plan reaching side ``target_r`` from base side ``r0``.
 
     integer-exact: target_r must equal r0 times a product of integer merge
     factors (from choose_m, or the ``forced_m`` override); otherwise raises
@@ -505,9 +484,8 @@ def plan(
 
     out = SchedulePlan(
         params=params,
-        root=_chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
-                    forced=forced_m is not None),
-        levels=ms,
+        nodes=_chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
+                     forced=forced_m is not None),
         mode="integer-exact",
         q=q,
         forced=forced_m is not None,
@@ -518,27 +496,24 @@ def plan(
 
 
 def _chain(params: RegimeParams, base_r, t_base: float, levels, q: int,
-           forced: bool = False) -> ScheduleNode:
-    """Root of the node chain: a base node of side base_r and time t_base, then
-    one merge node per (r, m) in levels, base outward, each taking r1 from its
-    child."""
-    node = ScheduleNode(r=base_r, r1=None, m=None, t1=None, t2=None, t_total=t_base,
-                        child=None, dim=params.d)
+           forced: bool = False) -> tuple[ScheduleNode, ...]:
+    """The plan's nodes, root first: a base node of side base_r and time t_base,
+    then one merge node per (r, m) in levels, base outward, each taking r1 and
+    t1 from the node below it."""
+    nodes = [ScheduleNode(r=base_r, r1=None, m=None, t1=None, t2=None, t_total=t_base)]
     for r, m in levels:
-        t1 = node.t_total
-        t2 = merge_duration(params.alpha, params.d, m, node.r, q=q)
-        node = ScheduleNode(
-            r=r, r1=node.r, m=m, t1=t1, t2=t2, t_total=3.0 * t1 + t2,
-            child=node, dim=params.d, forced=forced,
-        )
-    return node
+        below = nodes[-1]
+        t2 = merge_duration(params.alpha, params.d, m, below.r, q=q)
+        nodes.append(ScheduleNode(r=r, r1=below.r, m=m, t1=below.t_total, t2=t2,
+                                  t_total=3.0 * below.t_total + t2, forced=forced))
+    return tuple(reversed(nodes))
 
 
 def _warn_on_weak_assumptions(p: SchedulePlan) -> None:
     """Surface (rather than guess around) the polylog small-r1 assumption."""
     if p.params.regime != POLYLOG:
         return
-    for node in p.nodes():
+    for node in p.nodes:
         msg = None if node.is_base else _polylog_shortfall(p.params, node.r1)
         if msg:
             p.notes.append(msg)
@@ -566,14 +541,15 @@ def _continuous_split(params: RegimeParams, r: float):
     return r / r1, r1
 
 
-def _continuous_base(params: RegimeParams, rho: float) -> float:
+def _continuous_base(params: RegimeParams, rho: float, q: int) -> float:
     """Base time at real size rho <= r0.
 
     power:     K * rho**(a-2d) for any rho > 0, which makes the whole chain
                telescope to exactly K * r**(a-2d).
     polylog:   the recursion-consistent extension
                (t0 + A/2) * (log rho / log r0)**beta - A/2, with
-               A = pi*d**(a/2), beta = log3/log(lam); it satisfies
+               A = (2/q)*pi*d**(a/2), the merge time of every level,
+               beta = log3/log(lam); it satisfies
                B(rho) = 3*B(rho**(1/lam)) + A exactly, so the sampled total
                time is a smooth function of r (no depth-quantization ripple)
                that starts on the envelope at r0 and stays below it.
@@ -582,7 +558,7 @@ def _continuous_base(params: RegimeParams, rho: float) -> float:
     if params.regime == POWER:
         return params.K_alpha * rho ** (params.alpha - 2.0 * params.d)
     if params.regime == POLYLOG:
-        a_merge = merge_duration(params.alpha, params.d, 1, 1)  # qubit t2 of any level
+        a_merge = merge_duration(params.alpha, params.d, 1, 1, q=q)  # t2 of any level
         beta = _kappa(params.alpha, params.d, 3.0)
         t0 = params.t_base
         x = math.log(max(rho, 1.0)) / math.log(params.r0)
@@ -603,14 +579,11 @@ def _continuous_plan(params: RegimeParams, target_r, q: int = 2) -> SchedulePlan
         m, r1 = _continuous_split(params, r)
         levels.append((r, m))
         r = r1
-    levels.reverse()
     return SchedulePlan(
         params=params,
-        root=_chain(params, r, _continuous_base(params, r), levels, q),
-        levels=[m for _, m in levels],
+        nodes=_chain(params, r, _continuous_base(params, r, q), reversed(levels), q),
         mode="continuous-analytic",
         q=q,
-        lattice=None,
     )
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,11 @@ class Gate:
     def q(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def kron_t(self) -> np.ndarray:
+        """kron(G, I_lo).T with lo = q**site: apply_gate's operand for 1 < lo <= 64."""
+        return np.kron(self.matrix, np.eye(self.q ** self.site)).T.copy()
+
 
 def hadamard_matrix() -> np.ndarray:
     return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
@@ -164,9 +170,6 @@ def dft_matrix(q: int) -> np.ndarray:
     return mat / np.sqrt(float(q))
 
 
-_KRON_CACHE: dict = {}
-
-
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply a single-site unitary to its target site."""
     if gate.q != state.q:
@@ -179,13 +182,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if lo == 1:
         out = state.amps.reshape(hi, q) @ gate.matrix.T
     elif lo <= 64:
-        key = (gate.matrix.tobytes(), lo)
-        gk = _KRON_CACHE.get(key)
-        if gk is None:
-            gk = np.kron(gate.matrix, np.eye(lo)).T.copy()
-            if len(_KRON_CACHE) < 64:
-                _KRON_CACHE[key] = gk
-        out = state.amps.reshape(hi, q * lo) @ gk
+        out = state.amps.reshape(hi, q * lo) @ gate.kron_t
     else:
         out = np.matmul(gate.matrix, state.amps.reshape(hi, q, lo))
     return StateVector(q, n, out.reshape(-1))

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from ghzlattice.cli import (
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_MEMCAP,
     EXIT_OK,
@@ -38,8 +40,8 @@ class TestPlanCommand:
         )
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["tree"]["m"] == 10
-        assert payload["tree"]["t2"] == pytest.approx(
+        assert payload["nodes"][0]["m"] == 10
+        assert payload["nodes"][0]["t2"] == pytest.approx(
             math.pi * 20**2.5 / 4, rel=1e-13
         )
         assert payload["regime"] == "power"
@@ -183,14 +185,14 @@ class TestConfigAndOutput:
         cfg.write_text("alpha=2.5\nr=20\n# comment\nformat=json\n")
         code, out, _ = run_capture(["plan", "--config", str(cfg)])
         assert code == EXIT_OK
-        assert json.loads(out)["tree"]["m"] == 10
+        assert json.loads(out)["nodes"][0]["m"] == 10
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha=2.5\nr=20\n")
         code, out, _ = run_capture(["plan", "--config", str(cfg), "--r", "200"])
         assert code == EXIT_OK
-        assert json.loads(out)["tree"]["r"] == 200
+        assert json.loads(out)["nodes"][0]["r"] == 200
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -205,7 +207,7 @@ class TestConfigAndOutput:
         )
         assert code == EXIT_OK
         assert out == ""
-        assert json.loads((tmp_path / "tree.json").read_text())["tree"]["m"] == 10
+        assert json.loads((tmp_path / "tree.json").read_text())["nodes"][0]["m"] == 10
 
     def test_io_error(self):
         code, _, err = run_capture(
@@ -236,6 +238,45 @@ def strict_json(text):
     def refuse(token):
         raise ValueError(f"non-standard JSON constant {token}")
     return json.loads(text, parse_constant=refuse)
+
+
+# the valid argv templates of the acceptance fuzz (criterion 10)
+FUZZ_TEMPLATES = [
+    ["plan", "--alpha", "2.5", "--r", "20"],
+    ["plan", "--alpha", "1.5", "--r", "12"],
+    ["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2", "--coeff", "0.6,0.8"],
+    ["transfer", "--alpha", "2.5", "--r", "4", "--force-m", "2", "--coeff", "1,0",
+     "--source", "0", "--target", "3"],
+    ["sweep", "--alphas", "1.5,2.5", "--r-values", "4,16"],
+    ["bounds", "--alpha", "2.5", "--n-values", "100"],
+]
+BOUNDARY_TOKENS = ["inf", "-inf", "nan", "1e308", "1e300", "2.0001", "2.002", "2.03",
+                   "4.0001"]
+DEEP_PLANS = [  # 499 levels at d=1
+    ["plan", "--alpha", "3.0", "--d", "1", "--r", "1e300", "--mode", "continuous-analytic"],
+    ["plan", "--alpha", "5.0", "--d", "2", "--r", "1e300", "--mode", "continuous-analytic"],
+]
+
+
+def boundary_argvs() -> list[list[str]]:
+    """Each template with one flag's value replaced by each boundary token (as
+    ``--flag=token``, so ``-inf`` reaches the value parser), 4.0001 at d=2,
+    plan and sweep also in continuous mode; plus the deep plans."""
+    argvs = list(DEEP_PLANS)
+    for template in FUZZ_TEMPLATES:
+        for i in range(1, len(template), 2):
+            for token in BOUNDARY_TOKENS:
+                argv = template[:i] + [f"{template[i]}={token}"] + template[i + 2:]
+                if token == "4.0001":
+                    argv += ["--d", "2"]
+                argvs.append(argv)
+                if argv[0] in ("plan", "sweep"):
+                    argvs.append(argv + ["--mode", "continuous-analytic"])
+    return argvs
+
+
+class _ArgvTimeout(BaseException):
+    """Raised from SIGALRM; not an Exception, so run()'s safety net lets it through."""
 
 
 class TestBoundaryChecks:
@@ -273,6 +314,40 @@ class TestBoundaryChecks:
         assert proc.returncode == code, proc.stderr
         assert proc.stdout == ""
         assert strict_json(proc.stderr)["error"]["code"] == code
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_boundary_fuzz(self, tmp_path, monkeypatch):
+        """Every boundary argv ends within 30 s with a documented code other than
+        internal; exit-0 output and every error record are strict JSON."""
+        monkeypatch.chdir(tmp_path)
+
+        def expire(signum, frame):
+            raise _ArgvTimeout
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        try:
+            for argv in boundary_argvs():
+                signal.alarm(30)
+                try:
+                    code, out, err = run_capture(argv)
+                except _ArgvTimeout:
+                    pytest.fail(f"{argv} still running after 30 s")
+                finally:
+                    signal.alarm(0)
+                assert code in ALL_CODES - {EXIT_INTERNAL}, (argv, err)
+                if code == EXIT_OK:
+                    strict_json(out)
+                else:
+                    assert strict_json(err)["error"]["code"] == code, argv
+        finally:
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_deep_plan_json(self):
+        code, out, _ = run_capture(DEEP_PLANS[0])
+        assert code == EXIT_OK
+        nodes = strict_json(out)["nodes"]
+        assert len(nodes) == 499
+        assert nodes[0]["r"] == 1e300 and nodes[-1]["m"] is None
 
     def test_coefficients_are_float_pairs(self):
         code, out, _ = run_capture(

@@ -499,24 +499,29 @@ class TestStrayMassGuard:
         decode(self.with_stray(ghz, 1e-12), req, verify=False)
 
 
-_ENCODE_RSS_CHILD = """
+def _encode_rss_child(n: int, forced: list[int]) -> str:
+    """Script that encodes a qubit into an n-site chain, printing its peak-RSS growth."""
+    return f"""
 import resource
 import numpy as np
 from ghzlattice import LatticeSpec, basis_vector, init_product, plan
 from ghzlattice.protocol import EncodeRequest, encode
-lat = LatticeSpec(1, 20)
+lat = LatticeSpec(1, {n})
 coeffs = np.array([0.6, 0.8j])
-states = [basis_vector(2, 0)] * 20
+states = [basis_vector(2, 0)] * {n}
 states[0] = coeffs
 state = init_product(lat, states)
 req = EncodeRequest(lat, lat.full_region(), 0, coeffs,
-                    plan(2.5, 1, 20, r0=2, forced_m=[2, 5]))
+                    plan(2.5, 1, {n}, r0=2, forced_m={forced}))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 _, trace = encode(state, req)
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert trace.final_fidelity >= 1 - 1e-9
 print((after - before) * 1024)
 """
+
+
+_ENCODE_RSS_CHILD = _encode_rss_child(20, [2, 5])
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -531,6 +536,18 @@ def test_encode_peak_memory_2_20():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) <= 6 * 16 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_encode_peak_memory_2_22():
+    """The 2^22 encode (64 MiB states) also stays within 6 states of peak-RSS growth."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _encode_rss_child(22, [11])], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 6 * 64 * 2**20
 
 
 # (d, q, r0, forced_m) with at most 2**12 amplitudes
@@ -575,3 +592,22 @@ class TestStreamProperties:
         mid, _ = encode(state, req, verify=False)
         back, _ = decode(mid, req, verify=False)
         assert np.max(np.abs(back.amps - state.amps)) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(transfer_cases(), st.integers(0, 2**32 - 1))
+    def test_encode_linear_and_isometric(self, case, seed):
+        lat, p, source, _, v = case
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(lat.levels) + 1j * rng.standard_normal(lat.levels)
+        w /= np.linalg.norm(w)
+        a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        scale = np.linalg.norm(a * v + b * w)
+        a, b = a / scale, b / scale  # a*v + b*w is a unit vector
+
+        def enc(coeffs):
+            req = EncodeRequest(lat, lat.full_region(), source, coeffs, p)
+            return encode(source_state(lat, source, coeffs), req, verify=False)[0].amps
+
+        ex, ey = enc(v), enc(w)
+        assert np.max(np.abs(enc(a * v + b * w) - (a * ex + b * ey))) <= 1e-12
+        assert abs(np.vdot(ex, ey) - np.vdot(v, w)) <= 1e-12

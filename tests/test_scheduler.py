@@ -16,6 +16,7 @@ from ghzlattice.errors import (
 from ghzlattice.scheduler import (
     AssumptionWarning,
     RegimeParams,
+    ScheduleNode,
     bound_kernel,
     choose_m,
     gate_count_upper,
@@ -254,12 +255,12 @@ class TestPlan:
 
     def test_forced_m_tree(self):
         p = plan(2.5, 1, 16, r0=2, forced_m=[2, 2, 2])
-        assert [n.r for n in p.nodes()] == [16, 8, 4, 2]
-        assert p.forced and all(not n.is_base and n.forced for n in p.nodes()[:-1])
+        assert [n.r for n in p.nodes] == [16, 8, 4, 2]
+        assert p.forced and all(not n.is_base and n.forced for n in p.nodes[:-1])
 
     def test_node_recursion_identity(self):
         p = plan(2.5, 1, 200, r0=2)
-        for node in p.nodes():
+        for node in p.nodes:
             if node.is_base:
                 continue
             assert node.r == node.m * node.r1
@@ -267,9 +268,7 @@ class TestPlan:
 
     def test_children_share_schedule(self):
         p = plan(4.5, 2, 20, r0=2)
-        root = p.root
-        assert root.n_children == 100
-        assert len(set(id(c) for c in root.children)) == 1
+        assert p.to_dict()["nodes"][0]["n_children"] == 100
 
     @pytest.mark.parametrize(
         "alpha,d,r0",
@@ -368,13 +367,32 @@ class TestPlan:
         with pytest.raises(PreconditionError):
             plan(2.5, 1, 1, r0=2)
 
+    def test_nodes_are_flat_root_first(self):
+        assert [f.name for f in fields(ScheduleNode)] == [
+            "r", "r1", "m", "t1", "t2", "t_total", "forced"]
+        p = plan(2.5, 1, 200, r0=2)
+        assert isinstance(p.nodes, tuple)
+        assert p.root is p.nodes[0]
+        assert [n.r for n in p.nodes] == [200, 20, 2]
+        assert p.levels == [10, 10]
+
+    def test_deep_plan(self):
+        # 499 levels: nothing may recurse once per level
+        p = plan(3.0, 1, 1e300, mode="continuous-analytic")
+        assert len(p.nodes) == 499 and len(p.levels) == 498
+        assert p == plan(3.0, 1, 1e300, mode="continuous-analytic")
+        assert repr(p).startswith("SchedulePlan(")
+        assert hash(p.nodes) == hash(tuple(replace(n) for n in p.nodes))
+        nodes = json.loads(json.dumps(p.to_dict(), allow_nan=False))["nodes"]
+        assert len(nodes) == 499 and nodes[-1]["n_children"] == 0
+
     def test_to_dict_roundtrips_json(self):
         p = plan(2.5, 1, 200, r0=2)
         payload = json.loads(json.dumps(p.to_dict()))
-        assert payload["tree"]["r"] == 200
-        assert payload["tree"]["m"] == 10
-        assert payload["tree"]["n_children"] == 10
-        assert payload["tree"]["children"][0]["r"] == 20
+        assert payload["nodes"][0]["r"] == 200
+        assert payload["nodes"][0]["m"] == 10
+        assert payload["nodes"][0]["n_children"] == 10
+        assert payload["nodes"][1]["r"] == 20
         assert payload["levels"] == [10, 10]
         assert payload["regime"] == "power"
 
@@ -401,11 +419,19 @@ class TestContinuousMode:
         for r, t in zip(rs, ts):
             assert t <= params.bound(r) * (1 + 1e-9)
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.9])
+    def test_polylog_monotone_for_qudits(self, alpha, q):
+        # the base extension must add the q-level merge time of every level
+        ts = [plan(alpha, 1, r, q=q, mode="continuous-analytic").t_total
+              for r in np.geomspace(3, 1e12, 4000)]
+        assert all(b >= a for a, b in zip(ts, ts[1:]))
+
     def test_reports_real_valued_m(self):
         p = plan(1.5, 1, 1000.0, mode="continuous-analytic")
         assert p.mode == "continuous-analytic"
         assert any(not float(m).is_integer() for m in p.levels)
-        for node in p.nodes():
+        for node in p.nodes:
             if not node.is_base:
                 assert node.r == pytest.approx(node.m * node.r1, rel=1e-12)
                 assert node.t_total == pytest.approx(
@@ -449,9 +475,9 @@ class TestPlanTelescoping:
         p = quiet_plan(alpha, d, r0 * math.prod(forced), r0=r0, q=q, forced_m=forced,
                        K_alpha=1.0 if r0 == 1 else None)
         assert p.root.r == r0 * math.prod(forced)
-        for node in p.nodes()[:-1]:
-            assert node.r1 == node.child.r
-            assert node.t1 == node.child.t_total
+        for node, below in zip(p.nodes, p.nodes[1:]):
+            assert node.r1 == below.r
+            assert node.t1 == below.t_total
             assert node.t2 == merge_duration(alpha, d, node.m, node.r1, q)
             assert node.t_total == 3 * node.t1 + node.t2
 
@@ -462,8 +488,8 @@ class TestPlanTelescoping:
         assume(not (reg == "polylog" and r0 == 1))  # needs base r0 > 1
         r = r0 * (1e12 / r0) ** frac
         p = plan(alpha, d, r, r0=r0, q=q, mode="continuous-analytic")
-        for node in p.nodes()[:-1]:
-            assert node.r1 == node.child.r
+        for node, below in zip(p.nodes, p.nodes[1:]):
+            assert node.r1 == below.r
             assert node.t_total == 3 * node.t1 + node.t2
 
 

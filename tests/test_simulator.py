@@ -128,6 +128,18 @@ class TestGates:
             got = apply_gate(state, Gate(h, site))
             assert np.allclose(got.amps, full @ state.amps, atol=1e-12)
 
+    def test_kron_operand_held_by_gate(self):
+        # sites with 1 < q**site <= 64 contract against kron(G, I).T, built once
+        # per gate and reused by every apply
+        state = random_state(3, 5)
+        f = dft_matrix(3)
+        gate = Gate(f, 2)
+        first = apply_gate(state, gate)
+        operand = gate.kron_t
+        assert np.array_equal(operand, np.kron(f, np.eye(9)).T)
+        assert np.array_equal(apply_gate(state, gate).amps, first.amps)
+        assert gate.kron_t is operand
+
 
 class TestControlledIncrement:
     def test_cnot_fanout(self):
