@@ -4,12 +4,19 @@ The protocol is one fixed unitary: the applied ops depend on the geometry but
 never on the encoded coefficients, so encoding is exactly linear in the input
 state.  It is compiled once per (lattice, region, c, plan, gate mode) into a
 flat list of steps, one per trace record, each holding its ops: single-site
-gates, controlled increments and diagonal phase evolutions.  Encode replays
-the steps forward.  Decode replays them in reverse order with every op
-inverted (a gate by its conjugate transpose, an increment by a decrement, a
-phase by its negated duration), and checks each step against the expected
-state before it.  Transfer is an encode followed by a decode aimed at another
-site.
+gates, controlled increments and diagonal phase evolutions.  Each run of
+consecutive ops within a step whose sites fit one window of at most 64
+amplitudes is then fused into one window block, a dense unitary built by
+running those ops on the identity.  So the stream that runs holds three op
+kinds: window blocks, and the increments and phases too wide for a window.
+Fusion never crosses a step, so every step ends on the same state as the
+unfused ops would give.
+
+Encode replays the steps forward.  Decode replays them in reverse order with
+every op inverted (a block by its conjugate transpose, an increment by a
+decrement, a phase by its negated duration), and checks each step against the
+expected state before it.  Transfer is an encode followed by a decode aimed at
+another site.
 
 Execution is level-synchronous: all base cubes encode first, then each merge
 level runs its four steps (phase merge, target decode, single-site gate,
@@ -50,6 +57,7 @@ from .simulator import (
     Gate,
     PhaseCoupling,
     StateVector,
+    _widened_site,
     apply_controlled_increment,
     apply_gate,
     basis_vector,
@@ -166,17 +174,21 @@ class _Merge:
     gate_sites: tuple[int, ...]  # designated site of each target
 
 
-# Ops of the compiled stream.  Each kind has its own inverse: a gate op carries
-# G and G^dagger and swaps them, an increment flips its direction, and a phase
-# negates its duration.
-_GATE = "gate"  # (_GATE, Gate, its inverse Gate)
+# Ops of the compiled stream.  Each kind has its own inverse: a block carries
+# U and U^dagger and swaps them, an increment flips its direction, and a phase
+# negates its duration.  _compile emits the single-site gates as q x q blocks,
+# and _fuse merges each step's ops into window blocks.
+_BLOCK = "block"  # (_BLOCK, window Gate, its inverse Gate)
 _INC = "increment"  # (_INC, control site, target site, inverse flag)
 _PHASE = "phase"  # (_PHASE, coupling, duration)
 
+#: Largest window a fused block may span, in amplitudes (q**k <= 64).
+_BLOCK_AMPS = 64
+
 
 def _inverse(op: tuple) -> tuple:
-    if op[0] == _GATE:
-        return (_GATE, op[2], op[1])
+    if op[0] == _BLOCK:
+        return (_BLOCK, op[2], op[1])
     if op[0] == _INC:
         return (_INC, op[1], op[2], not op[3])
     return (_PHASE, op[1], -op[2])
@@ -187,11 +199,97 @@ def _inverted(ops: list) -> list:
     return [_inverse(op) for op in reversed(ops)]
 
 
+def _apply(state: StateVector, op: tuple, kernels: tuple | None = None) -> StateVector:
+    # the kernels are looked up in this module on every call, never stored in
+    # the ops, so rebinding them here reaches the whole stream
+    gate, increment, phase = kernels or (apply_gate, apply_controlled_increment,
+                                         evolve_phase)
+    if op[0] == _BLOCK:
+        return gate(state, op[1])
+    if op[0] == _INC:
+        return increment(state, op[1], op[2], op[3])
+    return phase(state, op[1], op[2])
+
+
+# The same kernels, bound once for building blocks at compile.  There they act
+# on a scratch state of at most 64**2 amplitudes, never on the simulated state,
+# so a rebinding of the stream's kernel names (a full-state pass counter) does
+# not reach them.
+_SCRATCH_KERNELS = (apply_gate, apply_controlled_increment, evolve_phase)
+
+
+def _op_sites(op: tuple) -> list[int]:
+    if op[0] == _BLOCK:  # _compile's blocks are single-site gates
+        return [op[1].site]
+    if op[0] == _INC:
+        return [op[1], op[2]]
+    return [s for mask in (op[1].control_mask, *op[1].target_masks) for s in mask.tolist()]
+
+
+def _shifted(op: tuple, lo: int) -> tuple:
+    """The op moved down by ``lo`` sites, onto a state whose site 0 is site lo."""
+    if op[0] == _BLOCK:
+        return (_BLOCK, Gate(op[1].matrix, op[1].site - lo))
+    if op[0] == _INC:
+        return (_INC, op[1] - lo, op[2] - lo, op[3])
+    c = op[1]
+    coupling = PhaseCoupling(c.control_mask - lo, tuple(t - lo for t in c.target_masks),
+                             c.strength)
+    return (_PHASE, coupling, op[2])
+
+
+def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
+    """The ops on sites lo..hi as one window block, widened as apply_gate would.
+
+    The kernels run on the identity of a 2k-site state (window sites low,
+    k copies above), scaled to norm 1; the result reshaped is U transposed.
+    """
+    lo = _widened_site(q, lo)
+    k = hi - lo + 1
+    dim = q**k
+    state = StateVector(q, 2 * k, np.eye(dim).reshape(-1) / math.sqrt(dim))
+    for op in ops:
+        state = _apply(state, _shifted(op, lo), _SCRATCH_KERNELS)
+    u = np.ascontiguousarray(state.amps.reshape(dim, dim).T) * math.sqrt(dim)
+    return (_BLOCK, Gate(u, lo), Gate(u.conj().T, lo))
+
+
+def _fuse(q: int, ops: list) -> list:
+    """Merge each run of consecutive ops whose sites fit one window of at most
+    _BLOCK_AMPS amplitudes into one block, greedily left to right.
+
+    The window counts the low sites apply_gate would widen it over; an op
+    wider than the cap on its own stays a single op.
+    """
+    def fits(a: int, b: int) -> bool:
+        return q ** (b - _widened_site(q, a) + 1) <= _BLOCK_AMPS
+
+    fused, run, lo, hi = [], [], 0, 0
+    for op in ops:
+        sites = _op_sites(op)
+        a, b = min(sites), max(sites)
+        if run and fits(min(lo, a), max(hi, b)):
+            run.append(op)
+            lo, hi = min(lo, a), max(hi, b)
+            continue
+        if run:
+            fused.append(_block(q, run, lo, hi))
+            run = []
+        if fits(a, b):
+            run, lo, hi = [op], a, b
+        else:
+            fused.append(op)
+    if run:
+        fused.append(_block(q, run, lo, hi))
+    return fused
+
+
 class _Machine:
     """The protocol for one (lattice, region, c, plan, gate mode), compiled once.
 
     ``steps`` is the encode as a flat list with one entry per trace record,
-    ``(level, step, elapsed, regions, ops)``; ``inverse_steps`` is the decode,
+    ``(level, step, elapsed, regions, ops)``, each step's ops fused into window
+    blocks (``_compile`` returns them unfused); ``inverse_steps`` is the decode,
     the same list reversed with every op list inverted.  Both are independent
     of the encoded coefficients, so machines are cached on the plan and reused
     across runs (which also reuses the couplings' phase-vector caches).
@@ -234,7 +332,8 @@ class _Machine:
                 self.merges[cube] = _Merge(control, targets, coupling, duration,
                                            gate_sites)
                 self.cubes[level - 1].extend([control, *targets])
-        self.steps = self._compile()
+        self.steps = [(level, step, elapsed, regions, _fuse(self.q, ops))
+                      for level, step, elapsed, regions, ops in self._compile()]
 
     def info_site(self, cube: Region) -> tuple[int, ...]:
         return self.c_coord if cube.contains(self.c_coord) else cube.anchor
@@ -246,7 +345,7 @@ class _Machine:
         def gate(site: int) -> tuple:
             op = gate_ops.get(site)
             if op is None:
-                op = gate_ops[site] = (_GATE, Gate(self.gate, site),
+                op = gate_ops[site] = (_BLOCK, Gate(self.gate, site),
                                        Gate(self.gate.conj().T, site))
             return op
 
@@ -453,15 +552,8 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
     steps = machine.inverse_steps if inverse else machine.steps
     for i, (level, step, elapsed, regions, ops) in enumerate(steps):
-        # the kernels are looked up in this module on every call, never stored
-        # in the ops, so rebinding them here reaches the whole stream
         for op in ops:
-            if op[0] == _GATE:
-                state = apply_gate(state, op[1])
-            elif op[0] == _INC:
-                state = apply_controlled_increment(state, op[1], op[2], op[3])
-            else:
-                state = evolve_phase(state, op[1], op[2])
+            state = _apply(state, op)
         fid = None
         if verify:
             if not inverse:

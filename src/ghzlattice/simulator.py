@@ -9,6 +9,13 @@ Operations are functional: they return a new StateVector and never mutate
 their input.  Every operation validates that the output stays normalized to
 1e-10, which is the module's running invariant.
 
+A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
+``site .. site+k-1``.  :func:`apply_gate` has two contraction layouts: a
+window at site 0 right-multiplies the (hi, q**k) view, any other window is a
+batched matmul over the (hi, q**k, lo) view with lo = q**site.  A strided
+matmul at a small lo is slow, so a window with 1 < lo < 64 is first widened
+down to site 0 (its matrix kron the identity on the lo low amplitudes).
+
 The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
 ``exp(-1j * duration * J * w_c * sum_j w_j)`` where ``w_c`` / ``w_j`` are the
@@ -20,7 +27,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +38,7 @@ DEFAULT_AMP_CAP = 1 << 26
 
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-12
+_WIDEN_BELOW = 64
 
 
 def check_capacity(q: int, n: int, max_amps: int | None = None) -> int:
@@ -121,7 +128,12 @@ def basis_vector(q: int, level: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A single-site q x q unitary bound to a target site."""
+    """A q**k x q**k unitary on the k consecutive sites site .. site+k-1.
+
+    A q x q matrix is a single-site gate.  The window's own sites are
+    little-endian like the state's: site ``site`` is the least significant
+    digit of the matrix index.
+    """
 
     matrix: np.ndarray
     site: int
@@ -134,15 +146,6 @@ class Gate:
         if not dev <= _UNITARY_TOL:
             raise PreconditionError(f"gate is not unitary: max |G+G - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
-
-    @property
-    def q(self) -> int:
-        return self.matrix.shape[0]
-
-    @cached_property
-    def kron_t(self) -> np.ndarray:
-        """kron(G, I_lo).T with lo = q**site: apply_gate's operand for 1 < lo <= 64."""
-        return np.kron(self.matrix, np.eye(self.q ** self.site)).T.copy()
 
 
 def hadamard_matrix() -> np.ndarray:
@@ -170,21 +173,36 @@ def dft_matrix(q: int) -> np.ndarray:
     return mat / np.sqrt(float(q))
 
 
+def _widened_site(q: int, site: int) -> int:
+    """First site of the window apply_gate applies for one starting at ``site``."""
+    return 0 if q**site < _WIDEN_BELOW else site
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply a single-site unitary to its target site."""
-    if gate.q != state.q:
-        raise PreconditionError(f"gate acts on {gate.q} levels, state has {state.q}")
-    if not 0 <= gate.site < state.n:
-        raise OutOfBoundsError(f"gate site {gate.site} outside 0..{state.n - 1}")
+    """Apply a window unitary to its k consecutive sites.
+
+    Two contraction layouts: a window starting at site 0 is a right-multiply
+    of the (hi, q**k) view; any other window is a batched matmul over the
+    (hi, q**k, lo) view.  A window whose low stride lo = q**site lies in
+    (1, 64) is first widened down to site 0 (kron with the identity on the
+    low sites), since the strided matmul is slow at small lo.
+    """
     q, n, s = state.q, state.n, gate.site
-    lo, hi = q**s, q ** (n - 1 - s)
-    # three contraction layouts, picked by where the site digit sits
-    if lo == 1:
-        out = state.amps.reshape(hi, q) @ gate.matrix.T
-    elif lo <= 64:
-        out = state.amps.reshape(hi, q * lo) @ gate.kron_t
+    mat = gate.matrix
+    k = round(math.log(mat.shape[0], q))
+    if k < 1 or q**k != mat.shape[0]:
+        raise PreconditionError(
+            f"gate dimension {mat.shape[0]} is not a power of the state's q={q}"
+        )
+    if not (0 <= s and s + k <= n):
+        raise OutOfBoundsError(f"gate sites {s}..{s + k - 1} outside 0..{n - 1}")
+    if s > 0 and _widened_site(q, s) == 0:
+        mat, k, s = np.kron(mat, np.eye(q**s)), k + s, 0
+    dim, hi = q**k, q ** (n - s - k)
+    if s == 0:
+        out = state.amps.reshape(hi, dim) @ mat.T
     else:
-        out = np.matmul(gate.matrix, state.amps.reshape(hi, q, lo))
+        out = np.matmul(mat, state.amps.reshape(hi, dim, q**s))
     return StateVector(q, n, out.reshape(-1))
 
 
@@ -235,8 +253,10 @@ class PhaseCoupling:
         )
         object.__setattr__(self, "control_mask", control)
         object.__setattr__(self, "target_masks", targets)
-        if self.strength <= 0:
-            raise PreconditionError(f"coupling strength must be > 0, got {self.strength}")
+        if not (math.isfinite(self.strength) and self.strength > 0):
+            raise PreconditionError(
+                f"coupling strength must be finite and > 0, got {self.strength}"
+            )
         seen = set(control.tolist())
         for t in targets:
             for s in t.tolist():
@@ -280,6 +300,8 @@ def evolve_phase(
     length q only on the masked sites' axes, and broadcast against the state.
     Negative durations run the evolution backward (the inverse unitary).
     """
+    if not math.isfinite(duration):
+        raise PreconditionError(f"evolution duration must be finite, got {duration}")
     for mask in (coupling.control_mask, *coupling.target_masks):
         if mask.size and (mask.min() < 0 or mask.max() >= state.n):
             raise OutOfBoundsError("coupling mask site outside the state")

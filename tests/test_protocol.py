@@ -449,9 +449,9 @@ class TestRequestValidation:
 
 class TestCompiledStream:
     def test_kernel_calls_per_run(self, monkeypatch):
-        # the 16-chain stream: 42 gates, 64 controlled increments and 21
-        # phases, the same each way; counted through the names the runner
-        # looks up in ghzlattice.protocol
+        # the 16-chain stream, fused: 32 window blocks and 8 phases, the same
+        # each way; counted through the names the runner looks up in
+        # ghzlattice.protocol, which compile's block building does not use
         calls = Counter()
         for name in ("apply_gate", "apply_controlled_increment", "evolve_phase"):
             def counted(*args, _name=name, _kernel=getattr(protocol, name)):
@@ -460,12 +460,117 @@ class TestCompiledStream:
             monkeypatch.setattr(protocol, name, counted)
         lat = chain(16)
         req = request(lat, [0.6, 0.8], [2, 2, 2])
-        want = {"apply_gate": 42, "apply_controlled_increment": 64, "evolve_phase": 21}
+        want = {"apply_gate": 32, "evolve_phase": 8}
         mid, _ = encode(source_state(lat, 0, [0.6, 0.8]), req, verify=False)
         assert calls == want
         calls.clear()
         decode(mid, req, verify=False)
         assert calls == want
+
+
+# (d, side, q, alpha, r0, forced_m, largest compiled ops per encode or None)
+FUSED_CASES = {
+    "chain16": (1, 16, 2, 2.5, 2, [2, 2, 2], 40),
+    "grid4x4": (2, 4, 2, 4.5, 2, [2], 18),
+    "ququart8": (1, 8, 4, 2.5, 2, [2, 2], 22),
+    "chain20": (1, 20, 2, 2.5, 2, [2, 5], 35),
+    "chain18": (1, 18, 2, 2.5, 2, [3, 3], 22),
+    "grid4x4_base": (2, 4, 2, 4.5, 4, [], None),  # increments too wide to fuse
+    "qutrit8": (1, 8, 3, 2.5, 2, [2, 2], None),
+}
+
+
+def _fused_machine(name):
+    d, side, q, alpha, r0, forced, _ = FUSED_CASES[name]
+    lat = LatticeSpec(d, side, q)
+    req = request(lat, np.eye(q)[1], forced, alpha=alpha, r0=r0)
+    return lat, req, protocol._get_machine(req, protocol.GATE_DFT)
+
+
+def _replay(state, ops):
+    """The unfused ops one by one through the public kernels."""
+    for op in ops:
+        state = protocol._apply(state, op)
+    return state
+
+
+class TestFusedStream:
+    """The compiled stream fuses each step's ops into window blocks of at most
+    64 amplitudes; the unfused ops are only _compile's output."""
+
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_matches_unfused_replay(self, name):
+        lat, req, machine = _fused_machine(name)
+        q = lat.levels
+        rng = np.random.default_rng(len(name))
+        coeffs = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        coeffs /= np.linalg.norm(coeffs)
+        state = source_state(lat, 0, coeffs)
+        unfused = [op for step in machine._compile() for op in step[4]]
+        fused, _ = encode(state, req, verify=False)
+        want = _replay(state, unfused)
+        assert np.max(np.abs(fused.amps - want.amps)) <= 1e-12
+        back, _ = decode(fused, req, verify=False)
+        want = _replay(fused, protocol._inverted(unfused))
+        assert np.max(np.abs(back.amps - want.amps)) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_blocks_fit_the_window(self, name):
+        # every block spans at most 64 amplitudes from site 0 or from a low
+        # stride of at least 64; every op left unfused is wider than that
+        lat, _req, machine = _fused_machine(name)
+        q = lat.levels
+        for steps in (machine.steps, machine.inverse_steps):
+            for op in (op for step in steps for op in step[4]):
+                if op[0] == protocol._BLOCK:
+                    assert op[1].matrix.shape[0] <= 64
+                    assert op[1].site == 0 or q ** op[1].site >= 64
+                    continue
+                sites = protocol._op_sites(op)
+                lo = 0 if q ** min(sites) < 64 else min(sites)
+                assert q ** (max(sites) - lo + 1) > 64
+
+    @pytest.mark.parametrize("name", [n for n, c in FUSED_CASES.items() if c[-1]])
+    def test_passes_per_encode(self, name):
+        _lat, _req, machine = _fused_machine(name)
+        assert sum(len(step[4]) for step in machine.steps) <= FUSED_CASES[name][-1]
+
+    def test_bench_tracer_counts_the_compiled_ops(self):
+        # bench/tracer.py's Tracer, imported read-only, counts one full-state
+        # pass per kernel call; around one cold encode, compile included, that
+        # is the compiled op count.  It patches modules for good, so it runs
+        # in a child.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = f"""
+import sys
+sys.path.insert(0, {os.path.join(root, "bench")!r})
+import numpy as np
+from ghzlattice import LatticeSpec, basis_vector, init_product, plan
+from ghzlattice.protocol import EncodeRequest, encode, _get_machine, GATE_DFT
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+out = []
+for d, side, alpha, r0, forced in [(1, 16, 2.5, 2, [2, 2, 2]), (2, 4, 4.5, 4, [])]:
+    lat = LatticeSpec(d, side)
+    states = [basis_vector(2, 0)] * lat.n_sites
+    states[0] = np.array([0.6, 0.8])
+    state = init_product(lat, states)
+    req = EncodeRequest(lat, lat.full_region(), 0, states[0],
+                        plan(alpha, d, side, r0=r0, forced_m=forced))
+    before = tracer.passes
+    tracer.run_op(encode, state, req)
+    compiled = sum(len(step[4]) for step in _get_machine(req, GATE_DFT).steps)
+    out.append((tracer.passes - before, compiled))
+print(out)
+"""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[(40, 40), (11, 11)]"
 
 
 class TestStrayMassGuard:

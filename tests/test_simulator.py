@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 from functools import reduce
 
@@ -118,7 +119,8 @@ class TestGates:
             apply_gate(state, Gate(hadamard_matrix(), 5))
 
     def test_every_site_position(self):
-        # the three contraction layouts agree with the kron-built matrix
+        # both contraction layouts, and the widening of low-stride sites,
+        # agree with the kron-built matrix
         state = random_state(2, 9)
         h = hadamard_matrix()
         eye = np.eye(2, dtype=complex)
@@ -128,17 +130,32 @@ class TestGates:
             got = apply_gate(state, Gate(h, site))
             assert np.allclose(got.amps, full @ state.amps, atol=1e-12)
 
-    def test_kron_operand_held_by_gate(self):
-        # sites with 1 < q**site <= 64 contract against kron(G, I).T, built once
-        # per gate and reused by every apply
-        state = random_state(3, 5)
-        f = dft_matrix(3)
-        gate = Gate(f, 2)
-        first = apply_gate(state, gate)
-        operand = gate.kron_t
-        assert np.array_equal(operand, np.kron(f, np.eye(9)).T)
-        assert np.array_equal(apply_gate(state, gate).amps, first.amps)
-        assert gate.kron_t is operand
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_window_gate_every_position(self, q, k):
+        # a q**k x q**k unitary on sites site..site+k-1 at every position: at
+        # site 0, with a low stride 1 < q**site < 64 (widened down to site 0)
+        # and with a high stride q**site >= 64 (strided matmul)
+        high = next(s for s in itertools.count() if q**s >= 64)
+        n = high + k
+        rng = np.random.default_rng(10 * q + k)
+        dim = q**k
+        u = np.linalg.qr(rng.standard_normal((dim, dim))
+                         + 1j * rng.standard_normal((dim, dim)))[0]
+        state = random_state(q, n, rng)
+        kinds = set()
+        for site in range(n - k + 1):
+            full = reduce(np.kron, [np.eye(q ** (n - site - k)), u, np.eye(q**site)])
+            got = apply_gate(state, Gate(u, site))
+            assert np.max(np.abs(got.amps - full @ state.amps)) < 1e-12
+            kinds.add("site0" if site == 0 else "widened" if q**site < 64 else "strided")
+        assert kinds == {"site0", "widened", "strided"}
+
+    def test_window_must_fit_the_state(self):
+        with pytest.raises(OutOfBoundsError):
+            apply_gate(random_state(2, 3), Gate(np.eye(4), 2))  # sites 2..3
+        with pytest.raises(PreconditionError):
+            apply_gate(random_state(3, 3), Gate(np.eye(2), 0))  # 2 is no power of 3
 
 
 class TestControlledIncrement:
@@ -300,6 +317,16 @@ class TestEvolvePhase:
         for duration in (1.7, -0.9):
             got = evolve_phase(state, coup, duration)
             assert np.array_equal(got.amps, self.digit_oracle(state, coup, duration))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_strength_refused(self, bad):
+        with pytest.raises(PreconditionError, match=str(bad)):
+            PhaseCoupling(np.array([0]), (np.array([1]),), bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_duration_refused(self, bad):
+        with pytest.raises(PreconditionError, match=str(bad)):
+            evolve_phase(random_state(2, 4), self.coupling_2x2(), bad)
 
     def test_masks_must_be_disjoint(self):
         with pytest.raises(PreconditionError):
