@@ -26,6 +26,16 @@ recursion, and it makes the intermediate state after every step a simple
 product over same-level cubes that can be constructed analytically and
 checked by fidelity.
 
+Verification reads sparse term lists, never a dense expected state.  A
+step's expected state has few nonzero terms (at most 1024 of 2**20 amplitudes
+on a 20-site chain).  On its first verify-on run a machine compiles, for the
+initial state and for the state after each step, the terms' flat amplitude
+indices, the source cube's level ``lv`` behind each term, and each term's
+weight with the coefficients factored out.  The protocol is linear in the
+coefficients and exactly one cube per level holds the source site, so a run's
+expected amplitudes are ``coefficients[label] * weight``.  A step's fidelity
+is one gather of the live state at those indices, over the live norm.
+
 Time accounting matches the schedule: the base record costs ``t_base`` and a
 merge level's records cost ``(t2, t_child, 0, t_child)``, which telescopes to
 the plan root's ``t_total = 3*t1 + t2`` recursion exactly.
@@ -36,9 +46,7 @@ otherwise); each target child concentrates onto its anchor site.
 """
 from __future__ import annotations
 
-import cmath
 import csv
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,15 +65,13 @@ from .simulator import (
     Gate,
     PhaseCoupling,
     StateVector,
+    _root_of_unity,
     _widened_site,
     apply_controlled_increment,
     apply_gate,
-    basis_vector,
     dft_matrix,
     evolve_phase,
-    fidelity,
     hadamard_matrix,
-    init_product,
 )
 
 GATE_DFT = "dft"
@@ -74,7 +80,11 @@ GATE_HADAMARD = "hadamard"
 
 @dataclass(frozen=True)
 class EncodeRequest:
-    """What to encode: which region, from which site, with which amplitudes."""
+    """What to encode: which region, from which site, with which amplitudes.
+
+    Coefficients whose norm**2 is within 1e-9 of 1 are accepted and stored
+    divided by their norm.
+    """
 
     lattice: LatticeSpec
     region: Region
@@ -88,9 +98,10 @@ class EncodeRequest:
             raise PreconditionError(
                 f"need {self.lattice.levels} coefficients, got {coeffs.size}"
             )
-        if not abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= 1e-9:
+        norm2 = float(np.sum(np.abs(coeffs) ** 2))
+        if not abs(norm2 - 1.0) <= 1e-9:
             raise PreconditionError("coefficients are not normalized")
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", coeffs / math.sqrt(norm2))
         if not self.region.contains(self.lattice.coord(self.c)):
             raise OutOfBoundsError(f"site {self.c} lies outside the region")
         p = self.plan
@@ -290,9 +301,10 @@ class _Machine:
     ``steps`` is the encode as a flat list with one entry per trace record,
     ``(level, step, elapsed, regions, ops)``, each step's ops fused into window
     blocks (``_compile`` returns them unfused); ``inverse_steps`` is the decode,
-    the same list reversed with every op list inverted.  Both are independent
-    of the encoded coefficients, so machines are cached on the plan and reused
-    across runs (which also reuses the couplings' phase-vector caches).
+    the same list reversed with every op list inverted; ``terms`` are the
+    verification terms.  All are independent of the encoded coefficients, so
+    machines are cached on the plan and reused across runs (which also reuses
+    the couplings' phase-vector caches).
     """
 
     def __init__(self, lattice: LatticeSpec, region: Region, c: int,
@@ -411,6 +423,69 @@ class _Machine:
         return [(level, step, elapsed, regions, _inverted(ops))
                 for level, step, elapsed, regions, ops in reversed(self.steps)]
 
+    @cached_property
+    def terms(self) -> tuple:
+        """Sparse expected states: the initial state's terms, then the terms
+        after each of ``steps``, each as ``(idx, label, weight)``.
+
+        The expected amplitude at flat index ``idx[k]`` is
+        ``coefficients[label[k]] * weight[k]``; every other amplitude is 0.
+        """
+        q = self.q
+        levels = np.arange(q)
+        terms = [(levels * q**self.c, levels, np.ones(q, dtype=np.complex128))]
+        for level, step, *_ in self.steps:
+            idx, label = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
+            weight = np.ones(1, dtype=np.complex128)
+            for cube in self.cubes[level]:
+                # outer sums and products with this cube's terms; only the
+                # source cube's level labels a term
+                c_idx, c_label, c_weight = self._cube_terms(cube, level, step)
+                source = cube.contains(self.c_coord)
+                if not source:
+                    c_weight = c_weight / math.sqrt(q)  # uniform coefficients
+                idx = (idx[:, None] + c_idx.ravel()).ravel()
+                label = (label[:, None] + source * c_label.ravel()).ravel()
+                weight = (weight[:, None] * c_weight.ravel()).ravel()
+            terms.append((idx, label, weight))
+        size = q**self.lattice.n_sites
+        for idx, label, weight in terms:
+            ordered = np.sort(idx)
+            assert ordered[0] >= 0 and ordered[-1] < size
+            assert np.all(ordered[1:] != ordered[:-1])  # each basis state once
+            norms = np.bincount(label, weights=np.abs(weight) ** 2, minlength=q)
+            assert np.all(np.abs(norms - 1.0) <= 1e-12)
+        return tuple(terms)
+
+    def _cube_terms(self, cube: Region, level: int, step: int) -> tuple:
+        """One cube's terms after ``step`` of ``level``, as (q, k) arrays of
+        flat-index contributions, the cube's level lv (one row per lv) and
+        weights without the cube's coefficient."""
+        q = self.q
+        lv = np.arange(q)[:, None]
+        ones = np.ones((q, 1), dtype=np.complex128)
+
+        def stride(region: Region) -> int:  # flat index of the region at level 1
+            return sum(q**s for s in site_mask(region, self.lattice).tolist())
+
+        if step == 5 or level == 0:  # all-same-level blocks over the cube
+            return lv * stride(cube), lv, ones
+        merge = self.merges[cube]
+        if step == 4:  # the targets' gate sites rotated back to the control's lv
+            return lv * (stride(merge.control) + sum(q**s for s in merge.gate_sites)), lv, ones
+        # steps 2 and 3: each target in the phase ladder
+        # sum_x omega**(lv*x) |x> / sqrt(q), over the whole target after the
+        # merge (step 2) or concentrated onto its gate site (step 3)
+        strides = ([stride(t) for t in merge.targets] if step == 2
+                   else [q**s for s in merge.gate_sites])
+        x_sum, tgt = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        for st in strides:
+            x_sum = (x_sum[:, None] + np.arange(q)).ravel()
+            tgt = (tgt[:, None] + np.arange(q) * st).ravel()
+        omega = np.array([_root_of_unity(-k, q) for k in range(q)])
+        weight = omega[(lv * x_sum) % q] / math.sqrt(q) ** len(strides)
+        return lv * stride(merge.control) + tgt, np.broadcast_to(lv, weight.shape), weight
+
 
 def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
     key = (req.lattice, req.region, req.c, gate_mode)
@@ -423,100 +498,13 @@ def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
     return machine
 
 
-class ExpectedStates:
-    """Analytic intermediate states of the sweep, built term by term.
-
-    The state after any step is a product over that level's cubes, each cube a
-    small sum of all-same-level blocks (or the target-site phase ladder right
-    after the merge).  Terms are assembled directly into flat amplitude
-    indices, with everything outside the region in |0>.
-    """
-
-    def __init__(self, machine: _Machine, coefficients: np.ndarray):
-        self.m = machine
-        self.coefficients = np.asarray(coefficients, dtype=np.complex128)
-        q, lattice = machine.q, machine.lattice
-        self.powers = [q**s for s in range(lattice.n_sites)]
-        self.omega = [cmath.exp(-2j * math.pi * k / q) for k in range(q)]
-
-    def _cube_coeffs(self, cube: Region) -> np.ndarray:
-        if cube.contains(self.m.c_coord):
-            return self.coefficients
-        q = self.m.q
-        return np.full(q, 1.0 / math.sqrt(q), dtype=np.complex128)
-
-    def _block_index(self, region: Region, level_value: int) -> int:
-        if level_value == 0:
-            return 0
-        mask = site_mask(region, self.m.lattice)
-        return int(sum(self.powers[int(s)] for s in mask)) * level_value
-
-    def _cube_terms(self, cube: Region, level: int, step: int) -> list[tuple[int, complex]]:
-        """(flat-index contribution, coefficient) pairs for one cube."""
-        q = self.m.q
-        coeffs = self._cube_coeffs(cube)
-        if step == 5 or level == 0:
-            return [
-                (self._block_index(cube, lv), complex(coeffs[lv]))
-                for lv in range(q)
-                if coeffs[lv] != 0
-            ]
-        merge = self.m.merges[cube]
-        ctrl_idx = [self._block_index(merge.control, lv) for lv in range(q)]
-        terms = []
-        norm = (1.0 / math.sqrt(q)) ** len(merge.targets)
-        if step == 2 or step == 3:
-            if step == 2:
-                tgt_idx = [[self._block_index(t, x) for x in range(q)]
-                           for t in merge.targets]
-            else:  # each target concentrated onto its gate site
-                tgt_idx = [[self.powers[s] * x for x in range(q)] for s in merge.gate_sites]
-            for lv in range(q):
-                if coeffs[lv] == 0:
-                    continue
-                for combo in itertools.product(range(q), repeat=len(merge.targets)):
-                    idx = ctrl_idx[lv] + sum(tgt_idx[j][x] for j, x in enumerate(combo))
-                    w = complex(coeffs[lv]) * norm
-                    for x in combo:
-                        w *= self.omega[(lv * x) % q]
-                    terms.append((idx, w))
-            return terms
-        if step == 4:
-            for lv in range(q):
-                if coeffs[lv] == 0:
-                    continue
-                idx = ctrl_idx[lv] + sum(self.powers[s] * lv for s in merge.gate_sites)
-                terms.append((idx, complex(coeffs[lv])))
-            return terms
-        raise PreconditionError(f"unknown step id {step}")
-
-    def initial(self) -> StateVector:
-        """Coefficients at the source site, |0> everywhere else."""
-        lattice, q = self.m.lattice, self.m.q
-        states = [basis_vector(q, 0) for _ in range(lattice.n_sites)]
-        states[self.m.c] = self.coefficients
-        return init_product(lattice, states)
-
-    def after(self, level: int, step: int) -> StateVector:
-        """Expected state once every cube of ``level`` finished ``step``."""
-        if not 0 <= level <= self.m.n_levels:
-            raise PreconditionError(f"level {level} outside 0..{self.m.n_levels}")
-        if level == 0 and step != 1:
-            raise PreconditionError("the base level only has step 1")
-        if level > 0 and step not in (2, 3, 4, 5):
-            raise PreconditionError(f"unknown step id {step}")
-        size = self.m.q ** self.m.lattice.n_sites
-        amps = np.zeros(size, dtype=np.complex128)
-        term_lists = [
-            self._cube_terms(cube, level, step) for cube in self.m.cubes[level]
-        ]
-        for combo in itertools.product(*term_lists):
-            idx = sum(t[0] for t in combo)
-            w = 1.0 + 0.0j
-            for t in combo:
-                w *= t[1]
-            amps[idx] += w
-        return StateVector(self.m.q, self.m.lattice.n_sites, amps)
+def _check_fits(state: StateVector, lattice: LatticeSpec) -> None:
+    """Refuse a state whose shape is not the lattice's (verification indexes it)."""
+    if (state.q, state.n) != (lattice.levels, lattice.n_sites):
+        raise PreconditionError(
+            f"state (q={state.q}, n={state.n}) does not fit the lattice "
+            f"(q={lattice.levels}, n={lattice.n_sites})"
+        )
 
 
 def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) -> None:
@@ -539,31 +527,43 @@ def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) ->
         raise StatePreconditionError(f"{what}: stray mass {mass:.3e}")
 
 
+def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray) -> float:
+    """Fidelity of the live state against the expected state given by ``terms``."""
+    idx, label, weight = terms
+    w = coefficients[label] * weight
+    norm2 = float(np.vdot(w, w).real)
+    if not abs(norm2 - 1.0) <= 1e-10:
+        raise PreconditionError(f"expected state norm**2 = {norm2!r} deviates from 1")
+    amps = state.amps
+    # the live norm is read in full: the gather sees only the support
+    return float(np.minimum(1.0, abs(np.vdot(w, amps[idx])) ** 2 / np.vdot(amps, amps).real))
+
+
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
          on_step, inverse: bool) -> tuple[StateVector, ProtocolTrace]:
     """Replay the compiled steps: forward to encode, inverted to decode.
 
     A forward step is checked against the expected state after it; an inverted
     step against the state before it, which is the expected state after the
-    previous forward step, or the initial state for the first.
+    previous forward step, or the initial state for the first.  The check
+    gathers the live amplitudes on the expected state's support and divides
+    by the live norm**2, a full read of the state.  That read carries the NaN
+    guarantee: a NaN anywhere, on the support or off it, gives fidelity NaN,
+    never a value that passes a bar.  (A NaN planted between steps, through
+    ``on_step``, is refused by the next op's state validation.)
     """
     machine = _get_machine(req, gate_mode)
-    expected = ExpectedStates(machine, req.coefficients) if verify else None
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
     steps = machine.inverse_steps if inverse else machine.steps
+    if verify:
+        _check_fits(state, req.lattice)
+        checks = machine.terms[-2::-1] if inverse else machine.terms[1:]
     for i, (level, step, elapsed, regions, ops) in enumerate(steps):
         for op in ops:
             state = _apply(state, op)
         fid = None
         if verify:
-            if not inverse:
-                target = expected.after(level, step)
-            elif i + 1 < len(steps):
-                target = expected.after(*steps[i + 1][:2])
-            else:
-                target = expected.initial()
-            fid = trace.final_fidelity = fidelity(state, target)
-            del target  # free it before the next step allocates
+            fid = trace.final_fidelity = _overlap(state, checks[i], req.coefficients)
         rec = StepRecord(level, step, inverse, elapsed, fid, regions)
         trace.records.append(rec)
         if on_step is not None:
@@ -607,18 +607,16 @@ def decode(
     return _run(state, req, verify, gate_mode, on_step, inverse=True)
 
 
-def verify_step(state: StateVector, level: int, step_id: int, context) -> float:
-    """Fidelity of the live state against the analytic state after one step.
-
-    ``context`` is an EncodeRequest (or a prebuilt ExpectedStates).
-    """
-    expected = context if isinstance(context, ExpectedStates) else expected_states(context)
-    return fidelity(state, expected.after(level, step_id))
-
-
-def expected_states(req: EncodeRequest, gate_mode: str = GATE_DFT) -> ExpectedStates:
-    """Expected-state builder for the request (reusable across verify_step calls)."""
-    return ExpectedStates(_get_machine(req, gate_mode), req.coefficients)
+def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest,
+                gate_mode: str = GATE_DFT) -> float:
+    """Fidelity of the live state against the analytic state after step
+    ``step_id`` of ``level`` (see ``_run`` for how it is read)."""
+    _check_fits(state, req.lattice)
+    machine = _get_machine(req, gate_mode)
+    for (lv, step, *_), terms in zip(machine.steps, machine.terms[1:]):
+        if (lv, step) == (level, step_id):
+            return _overlap(state, terms, req.coefficients)
+    raise PreconditionError(f"the protocol has no step {step_id} at level {level}")
 
 
 def _extract_site_coefficients(state: StateVector, site: int) -> np.ndarray:

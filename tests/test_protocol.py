@@ -1,3 +1,4 @@
+import cmath
 import io
 import itertools
 import json
@@ -22,9 +23,9 @@ from ghzlattice.errors import (
 from ghzlattice.geometry import LatticeSpec, Region, partition, site_mask
 from ghzlattice.protocol import (
     EncodeRequest,
+    _Machine,
     decode,
     encode,
-    expected_states,
     state_transfer,
     verify_step,
 )
@@ -62,6 +63,106 @@ def request(lattice, coeffs, forced_m, alpha=2.5, c=0, r0=2):
 def haar_qubit(rng):
     v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     return v / np.linalg.norm(v)
+
+
+# Dense expected states: the oracle for the machine's sparse verification
+# terms.  Each call to after() fills a q**n vector term by term.
+
+class ExpectedStates:
+    """Analytic intermediate states of the sweep, built term by term.
+
+    The state after any step is a product over that level's cubes, each cube a
+    small sum of all-same-level blocks (or the target-site phase ladder right
+    after the merge).  Terms are assembled directly into flat amplitude
+    indices, with everything outside the region in |0>.
+    """
+
+    def __init__(self, machine: _Machine, coefficients: np.ndarray):
+        self.m = machine
+        self.coefficients = np.asarray(coefficients, dtype=np.complex128)
+        q, lattice = machine.q, machine.lattice
+        self.powers = [q**s for s in range(lattice.n_sites)]
+        self.omega = [cmath.exp(-2j * math.pi * k / q) for k in range(q)]
+
+    def _cube_coeffs(self, cube: Region) -> np.ndarray:
+        if cube.contains(self.m.c_coord):
+            return self.coefficients
+        q = self.m.q
+        return np.full(q, 1.0 / math.sqrt(q), dtype=np.complex128)
+
+    def _block_index(self, region: Region, level_value: int) -> int:
+        if level_value == 0:
+            return 0
+        mask = site_mask(region, self.m.lattice)
+        return int(sum(self.powers[int(s)] for s in mask)) * level_value
+
+    def _cube_terms(self, cube: Region, level: int, step: int) -> list[tuple[int, complex]]:
+        """(flat-index contribution, coefficient) pairs for one cube."""
+        q = self.m.q
+        coeffs = self._cube_coeffs(cube)
+        if step == 5 or level == 0:
+            return [
+                (self._block_index(cube, lv), complex(coeffs[lv]))
+                for lv in range(q)
+                if coeffs[lv] != 0
+            ]
+        merge = self.m.merges[cube]
+        ctrl_idx = [self._block_index(merge.control, lv) for lv in range(q)]
+        terms = []
+        norm = (1.0 / math.sqrt(q)) ** len(merge.targets)
+        if step == 2 or step == 3:
+            if step == 2:
+                tgt_idx = [[self._block_index(t, x) for x in range(q)]
+                           for t in merge.targets]
+            else:  # each target concentrated onto its gate site
+                tgt_idx = [[self.powers[s] * x for x in range(q)] for s in merge.gate_sites]
+            for lv in range(q):
+                if coeffs[lv] == 0:
+                    continue
+                for combo in itertools.product(range(q), repeat=len(merge.targets)):
+                    idx = ctrl_idx[lv] + sum(tgt_idx[j][x] for j, x in enumerate(combo))
+                    w = complex(coeffs[lv]) * norm
+                    for x in combo:
+                        w *= self.omega[(lv * x) % q]
+                    terms.append((idx, w))
+            return terms
+        if step == 4:
+            for lv in range(q):
+                if coeffs[lv] == 0:
+                    continue
+                idx = ctrl_idx[lv] + sum(self.powers[s] * lv for s in merge.gate_sites)
+                terms.append((idx, complex(coeffs[lv])))
+            return terms
+        raise PreconditionError(f"unknown step id {step}")
+
+    def initial(self) -> StateVector:
+        """Coefficients at the source site, |0> everywhere else."""
+        lattice, q = self.m.lattice, self.m.q
+        states = [basis_vector(q, 0) for _ in range(lattice.n_sites)]
+        states[self.m.c] = self.coefficients
+        return init_product(lattice, states)
+
+    def after(self, level: int, step: int) -> StateVector:
+        """Expected state once every cube of ``level`` finished ``step``."""
+        if not 0 <= level <= self.m.n_levels:
+            raise PreconditionError(f"level {level} outside 0..{self.m.n_levels}")
+        if level == 0 and step != 1:
+            raise PreconditionError("the base level only has step 1")
+        if level > 0 and step not in (2, 3, 4, 5):
+            raise PreconditionError(f"unknown step id {step}")
+        size = self.m.q ** self.m.lattice.n_sites
+        amps = np.zeros(size, dtype=np.complex128)
+        term_lists = [
+            self._cube_terms(cube, level, step) for cube in self.m.cubes[level]
+        ]
+        for combo in itertools.product(*term_lists):
+            idx = sum(t[0] for t in combo)
+            w = 1.0 + 0.0j
+            for t in combo:
+                w *= t[1]
+            amps[idx] += w
+        return StateVector(self.m.q, self.m.lattice.n_sites, amps)
+
 
 
 class TestEncode:
@@ -341,9 +442,13 @@ class TestVerifyStep:
     def test_unknown_step(self):
         lat = chain(4)
         req = request(lat, [0.6, 0.8], [2])
-        builder = expected_states(req)
         with pytest.raises(PreconditionError):
-            builder.after(1, 7)
+            verify_step(source_state(lat, 0, [0.6, 0.8]), 1, 7, req)
+
+    def test_state_must_fit_the_lattice(self):
+        req = request(chain(4), [0.6, 0.8], [2])
+        with pytest.raises(PreconditionError):
+            verify_step(source_state(chain(5), 0, [0.6, 0.8]), 1, 2, req)
 
     def test_decode_records_mirror_encode(self):
         lat = chain(8)
@@ -385,8 +490,6 @@ class TestEndToEndMatrix:
     def test_plan_couplings_respect_power_law(self):
         # every coupling a plan produces (sides <= 8, d <= 2) stays within
         # 1/dist**alpha for all cross pairs; check_power_law raises otherwise
-        from ghzlattice.protocol import _Machine
-
         for d, side, forced in [(1, 8, [2, 2]), (2, 4, [2]), (2, 8, [2, 2]),
                                 (1, 8, [4]), (2, 8, [4])]:
             lat = LatticeSpec(d, side, 2)
@@ -445,6 +548,17 @@ class TestRequestValidation:
     def test_nan_coefficients_rejected(self):
         with pytest.raises(PreconditionError):
             request(chain(4), [np.nan, 1.0], [2])
+
+    def test_near_unit_coefficients_stored_normalized(self):
+        # norm**2 = 1 + 5e-10 is accepted, so verification must check against
+        # the normalized coefficients, not refuse its own expected state
+        lat = chain(8)
+        v = np.array([0.6, 0.8j])
+        req = request(lat, v * math.sqrt(1 + 5e-10), [2, 2])
+        _, trace = encode(source_state(lat, 0, v), req)
+        assert len(trace.records) == 9
+        assert all(rec.fidelity >= FIDELITY_BAR for rec in trace.records)
+        assert abs(np.vdot(req.coefficients, req.coefficients).real - 1.0) <= 1e-15
 
 
 class TestCompiledStream:
@@ -573,6 +687,76 @@ print(out)
         assert proc.stdout.strip() == "[(40, 40), (11, 11)]"
 
 
+def _step_support(req, level, step):
+    """Flat indices of the expected state's nonzero terms after one step."""
+    machine = protocol._get_machine(req, protocol.GATE_DFT)
+    i = [s[:2] for s in machine.steps].index((level, step))
+    return machine.terms[1 + i][0]
+
+
+class TestSparseVerification:
+    """Each step's fidelity comes from the machine's sparse term lists; the
+    dense ExpectedStates above is the oracle."""
+
+    @pytest.mark.parametrize("kick", [0.0, 1.0], ids=["true", "kicked"])
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_matches_dense_oracle(self, name, kick):
+        # kick != 0 gives the source site the phase exp(1j*kick*l) on level l,
+        # so every step's fidelity is below 1 and the comparison is not only
+        # at 1.0
+        d, side, q, alpha, r0, forced, _ = FUSED_CASES[name]
+        lat = LatticeSpec(d, side, q)
+        rng = np.random.default_rng(len(name))
+        v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        v /= np.linalg.norm(v)
+        req = request(lat, v, forced, alpha=alpha, r0=r0)
+        machine = protocol._get_machine(req, protocol.GATE_DFT)
+        oracle = ExpectedStates(machine, req.coefficients)
+        forward = [oracle.after(level, step) for level, step, *_ in machine.steps]
+        captured = []
+
+        def capture(rec, state):
+            captured.append((rec.fidelity, state))
+
+        kicked = source_state(lat, 0, v * np.exp(1j * kick * np.arange(q)))
+        mid, _ = encode(kicked, req, on_step=capture)
+        decode(mid, req, on_step=capture)
+        targets = forward + forward[-2::-1] + [oracle.initial()]
+        assert len(captured) == len(targets)
+        for (fid, state), target in zip(captured, targets):
+            assert abs(fid - fidelity(state, target)) <= 1e-12
+        if kick:
+            assert max(fid for fid, _ in captured) < 1 - 1e-3
+
+    def test_nan_off_the_support_reads_nan(self):
+        lat = chain(4)
+        req = request(lat, [0.6, 0.8], [2])
+        captured = {}
+        encode(source_state(lat, 0, [0.6, 0.8]), req,
+               on_step=lambda rec, s: captured.setdefault((rec.level, rec.step), s))
+        state = captured[(1, 2)]
+        assert verify_step(state, 1, 2, req) >= FIDELITY_BAR
+        off = sorted(set(range(16)) - set(_step_support(req, 1, 2).tolist()))[0]
+        state.amps[off] = np.nan  # planted after the state was validated
+        assert math.isnan(verify_step(state, 1, 2, req))
+
+    def test_encode_refuses_a_planted_nan(self):
+        lat = chain(8)
+        req = request(lat, [0.6, 0.8], [2, 2])
+        off = sorted(set(range(256)) - set(_step_support(req, 1, 2).tolist()))[0]
+        seen = []
+
+        def plant(rec, state):
+            seen.append((rec.level, rec.step, rec.fidelity))
+            if (rec.level, rec.step) == (1, 2):
+                state.amps[off] = np.nan
+
+        with pytest.raises(PreconditionError):
+            encode(source_state(lat, 0, [0.6, 0.8]), req, on_step=plant)
+        # nothing was recorded once the NaN was in the state
+        assert [rec[:2] for rec in seen] == [(0, 1), (1, 2)]
+
+
 class TestStrayMassGuard:
     """encode refuses weight off |0> on the region's other sites, decode
     refuses weight outside the GHZ-like span; both at 1e-10 stray mass."""
@@ -604,13 +788,21 @@ class TestStrayMassGuard:
         decode(self.with_stray(ghz, 1e-12), req, verify=False)
 
 
-def _encode_rss_child(n: int, forced: list[int]) -> str:
-    """Script that encodes a qubit into an n-site chain, printing its peak-RSS growth."""
+def _encode_rss_child(n: int, forced: list[int], verify: bool = True,
+                      target: int | None = None) -> str:
+    """Script that encodes a qubit into an n-site chain, or transfers it from
+    site 0 to ``target``, printing its peak-RSS growth."""
+    if target is None:
+        call = f"encode(state, req, verify={verify})"
+    else:
+        call = (f"state_transfer(state, 0, {target}, lat.full_region(), req.plan, "
+                f"lattice=lat, verify={verify})")
+    check = "trace.final_fidelity >= 1 - 1e-9" if verify else "trace.final_fidelity is None"
     return f"""
 import resource
 import numpy as np
 from ghzlattice import LatticeSpec, basis_vector, init_product, plan
-from ghzlattice.protocol import EncodeRequest, encode
+from ghzlattice.protocol import EncodeRequest, encode, state_transfer
 lat = LatticeSpec(1, {n})
 coeffs = np.array([0.6, 0.8j])
 states = [basis_vector(2, 0)] * {n}
@@ -619,9 +811,9 @@ state = init_product(lat, states)
 req = EncodeRequest(lat, lat.full_region(), 0, coeffs,
                     plan(2.5, 1, {n}, r0=2, forced_m={forced}))
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-_, trace = encode(state, req)
+_, trace = {call}
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-assert trace.final_fidelity >= 1 - 1e-9
+assert {check}
 print((after - before) * 1024)
 """
 
@@ -629,30 +821,39 @@ print((after - before) * 1024)
 _ENCODE_RSS_CHILD = _encode_rss_child(20, [2, 5])
 
 
+def _rss_growth(script: str) -> int:
+    """Run a peak-RSS child script against the source tree; its printed growth."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_encode_peak_memory_2_20():
     """A 2^20 encode grows its process's peak RSS by at most 6 states (16 MiB
     each): merge phases hold only the masked axes, stray-mass checks read
     slices of the state, and no full-size index array is built."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _ENCODE_RSS_CHILD], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 6 * 16 * 2**20
+    assert _rss_growth(_ENCODE_RSS_CHILD) <= 6 * 16 * 2**20
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_encode_peak_memory_2_22():
     """The 2^22 encode (64 MiB states) also stays within 6 states of peak-RSS growth."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _encode_rss_child(22, [11])], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) <= 6 * 64 * 2**20
+    assert _rss_growth(_encode_rss_child(22, [11])) <= 6 * 64 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_transfer_verify_memory_2_22():
+    """Verification adds at most 5% to the peak-RSS growth of a 2^22 transfer:
+    it gathers each step's few thousand support amplitudes and builds no dense
+    expected state."""
+    off, on = (_rss_growth(_encode_rss_child(22, [11], verify=v, target=21))
+               for v in (False, True))
+    assert on <= 1.05 * off, (on, off)
 
 
 # (d, q, r0, forced_m) with at most 2**12 amplitudes
