@@ -527,16 +527,23 @@ def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) ->
         raise StatePreconditionError(f"{what}: stray mass {mass:.3e}")
 
 
-def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray) -> float:
-    """Fidelity of the live state against the expected state given by ``terms``."""
+def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
+             state_norm2: float | None = None) -> float:
+    """Fidelity of the live state against the expected state given by ``terms``.
+
+    ``state_norm2`` is the state's norm**2 as its constructor validated it;
+    without it the live norm is read in full, since the gather sees only the
+    support.
+    """
     idx, label, weight = terms
     w = coefficients[label] * weight
     norm2 = float(np.vdot(w, w).real)
     if not abs(norm2 - 1.0) <= 1e-10:
         raise PreconditionError(f"expected state norm**2 = {norm2!r} deviates from 1")
     amps = state.amps
-    # the live norm is read in full: the gather sees only the support
-    return float(np.minimum(1.0, abs(np.vdot(w, amps[idx])) ** 2 / np.vdot(amps, amps).real))
+    if state_norm2 is None:
+        state_norm2 = float(np.vdot(amps, amps).real)
+    return float(np.minimum(1.0, abs(np.vdot(w, amps[idx])) ** 2 / state_norm2))
 
 
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
@@ -547,10 +554,11 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     step against the state before it, which is the expected state after the
     previous forward step, or the initial state for the first.  The check
     gathers the live amplitudes on the expected state's support and divides
-    by the live norm**2, a full read of the state.  That read carries the NaN
-    guarantee: a NaN anywhere, on the support or off it, gives fidelity NaN,
-    never a value that passes a bar.  (A NaN planted between steps, through
-    ``on_step``, is refused by the next op's state validation.)
+    by the norm**2 that the step's last op computed when it validated its
+    output, so a NaN anywhere, on the support or off it, was refused there.
+    A step with no ops reads the live norm**2 in full instead, so a NaN
+    planted through ``on_step`` gives fidelity NaN, never a value that passes
+    a bar; before any later op, that op's state validation refuses it.
     """
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
@@ -563,7 +571,8 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
             state = _apply(state, op)
         fid = None
         if verify:
-            fid = trace.final_fidelity = _overlap(state, checks[i], req.coefficients)
+            fid = trace.final_fidelity = _overlap(
+                state, checks[i], req.coefficients, state._norm2 if ops else None)
         rec = StepRecord(level, step, inverse, elapsed, fid, regions)
         trace.records.append(rec)
         if on_step is not None:

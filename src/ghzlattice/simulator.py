@@ -10,11 +10,14 @@ their input.  Every operation validates that the output stays normalized to
 1e-10, which is the module's running invariant.
 
 A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
-``site .. site+k-1``.  :func:`apply_gate` has two contraction layouts: a
+``site .. site+k-1``.  :func:`apply_gate` applies a monomial gate (exactly one
+nonzero per row: increments, shifts, phases) as one gather along the window
+axis of the (hi, q**k, lo) view with lo = q**site, times its phases unless
+they are all exactly 1.  Any other gate takes one of two dense layouts: a
 window at site 0 right-multiplies the (hi, q**k) view, any other window is a
-batched matmul over the (hi, q**k, lo) view with lo = q**site.  A strided
-matmul at a small lo is slow, so a window with 1 < lo < 64 is first widened
-down to site 0 (its matrix kron the identity on the lo low amplitudes).
+batched matmul over the (hi, q**k, lo) view.  A strided matmul at a small lo
+is slow, so a dense window with 1 < lo < 64 is first widened down to site 0
+(its matrix kron the identity on the lo low amplitudes); a gather is not.
 
 The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,6 +69,8 @@ class StateVector:
     q: int
     n: int
     amps: np.ndarray
+    # the validated norm**2, read once here; stale if amps is later mutated
+    _norm2: float = field(init=False, repr=False, default=1.0)
 
     def __post_init__(self):
         if self.q < 2 or self.n < 1:
@@ -79,6 +84,7 @@ class StateVector:
         norm2 = float(np.vdot(amps, amps).real)
         if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise PreconditionError(f"state norm**2 = {norm2!r} deviates from 1")
+        object.__setattr__(self, "_norm2", norm2)
 
     def copy(self) -> "StateVector":
         return StateVector(self.q, self.n, self.amps.copy())
@@ -137,6 +143,10 @@ class Gate:
 
     matrix: np.ndarray
     site: int
+    # set by _monomial: for a monomial matrix, the column of each row's
+    # nonzero and, unless all are exactly 1, those entries; else None
+    _perm: np.ndarray | None = field(init=False, repr=False, default=None)
+    _phases: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=np.complex128)
@@ -146,6 +156,21 @@ class Gate:
         if not dev <= _UNITARY_TOL:
             raise PreconditionError(f"gate is not unitary: max |G+G - I| = {dev:.3e}")
         object.__setattr__(self, "matrix", mat)
+        perm, phases = _monomial(mat)
+        object.__setattr__(self, "_perm", perm)
+        object.__setattr__(self, "_phases", phases)
+
+
+def _monomial(mat: np.ndarray) -> tuple:
+    """(perm, phases) if every row of ``mat`` has exactly one entry != 0, so
+    ``mat @ x == phases * x[perm]``, with phases None when all are exactly 1;
+    else (None, None)."""
+    nonzero = mat != 0
+    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
+        return None, None
+    perm = np.argmax(nonzero, axis=1)
+    phases = mat[np.arange(perm.size), perm]
+    return perm, None if np.all(phases == 1) else phases
 
 
 def hadamard_matrix() -> np.ndarray:
@@ -181,10 +206,12 @@ def _widened_site(q: int, site: int) -> int:
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply a window unitary to its k consecutive sites.
 
-    Two contraction layouts: a window starting at site 0 is a right-multiply
-    of the (hi, q**k) view; any other window is a batched matmul over the
-    (hi, q**k, lo) view.  A window whose low stride lo = q**site lies in
-    (1, 64) is first widened down to site 0 (kron with the identity on the
+    A monomial gate is one gather along axis 1 of the (hi, q**k, lo) view,
+    then an in-place multiply by its phases if it has any.  Other gates take
+    two dense layouts: a window starting at site 0 is a right-multiply of the
+    (hi, q**k) view; any other window is a batched matmul over the
+    (hi, q**k, lo) view.  A dense window whose low stride lo = q**site lies
+    in (1, 64) is first widened down to site 0 (kron with the identity on the
     low sites), since the strided matmul is slow at small lo.
     """
     q, n, s = state.q, state.n, gate.site
@@ -196,10 +223,14 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         )
     if not (0 <= s and s + k <= n):
         raise OutOfBoundsError(f"gate sites {s}..{s + k - 1} outside 0..{n - 1}")
-    if s > 0 and _widened_site(q, s) == 0:
+    if gate._perm is None and s > 0 and _widened_site(q, s) == 0:
         mat, k, s = np.kron(mat, np.eye(q**s)), k + s, 0
     dim, hi = q**k, q ** (n - s - k)
-    if s == 0:
+    if gate._perm is not None:
+        out = np.take(state.amps.reshape(hi, dim, q**s), gate._perm, axis=1)
+        if gate._phases is not None:
+            out *= gate._phases[:, None]
+    elif s == 0:
         out = state.amps.reshape(hi, dim) @ mat.T
     else:
         out = np.matmul(mat, state.amps.reshape(hi, dim, q**s))

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import ghzlattice.simulator as simulator
 from ghzlattice.cli import (
     EXIT_INTERNAL,
     EXIT_IO,
@@ -149,6 +150,36 @@ class TestTransferCommand:
             ["plan", "--alpha", "2.5", "--r", "4", "--force-m", "2"]
         )
         assert payload["total_time"] == 2 * json.loads(plan_out)["t_total"]
+
+    def test_gather_output_bytes_match_dense(self, tmp_path, monkeypatch):
+        # the benchmark's cold CLI session (simulate with an amplitude dump,
+        # then transfer, on an 18-site chain) writes the same bytes whether
+        # monomial gates are gathered or multiplied densely
+        plan_args = ["--alpha", "2.5", "--d", "1", "--r", "18", "--r0", "2",
+                     "--force-m", "3,3"]
+        detect = simulator._monomial
+        found = []
+
+        def session(tag):
+            files = {}
+            for token in (7, 2024, 918273645):
+                coeff, out = f"random:{token}", tmp_path / f"{tag}-{token}"
+                argvs = (["simulate", *plan_args, "--coeff", coeff,
+                          "--dump-amps", f"{out}-amps.csv", "--out", f"{out}-sim.json"],
+                         ["transfer", *plan_args, "--coeff", coeff, "--source", "0",
+                          "--target", "17", "--out", f"{out}-xfer.json"])
+                for argv in argvs:
+                    assert run_capture(argv)[0] == EXIT_OK
+                for name in ("amps.csv", "sim.json", "xfer.json"):
+                    files[token, name] = (tmp_path / f"{tag}-{token}-{name}").read_bytes()
+            return files
+
+        monkeypatch.setattr(simulator, "_monomial",
+                            lambda mat: found.append(detect(mat)) or found[-1])
+        gathered = session("gather")
+        assert any(perm is not None for perm, _phases in found)
+        monkeypatch.setattr(simulator, "_monomial", lambda mat: (None, None))
+        assert session("dense") == gathered
 
     def test_target_out_of_bounds(self):
         code, _, _ = run_capture(

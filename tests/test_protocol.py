@@ -33,6 +33,7 @@ from ghzlattice.scheduler import merge_duration, plan
 from ghzlattice.simulator import (
     PhaseCoupling,
     StateVector,
+    apply_gate,
     basis_vector,
     evolve_phase,
     expected_ghz,
@@ -582,22 +583,23 @@ class TestCompiledStream:
         assert calls == want
 
 
-# (d, side, q, alpha, r0, forced_m, largest compiled ops per encode or None)
+# (d, side, q, alpha, r0, forced_m, fewest monomial blocks per encode from
+# site 0 and from the last site, largest compiled ops per encode or None)
 FUSED_CASES = {
-    "chain16": (1, 16, 2, 2.5, 2, [2, 2, 2], 40),
-    "grid4x4": (2, 4, 2, 4.5, 2, [2], 18),
-    "ququart8": (1, 8, 4, 2.5, 2, [2, 2], 22),
-    "chain20": (1, 20, 2, 2.5, 2, [2, 5], 35),
-    "chain18": (1, 18, 2, 2.5, 2, [3, 3], 22),
-    "grid4x4_base": (2, 4, 2, 4.5, 4, [], None),  # increments too wide to fuse
-    "qutrit8": (1, 8, 3, 2.5, 2, [2, 2], None),
+    "chain16": (1, 16, 2, 2.5, 2, [2, 2, 2], (11, 11), 40),
+    "grid4x4": (2, 4, 2, 4.5, 2, [2], (7, 6), 18),
+    "ququart8": (1, 8, 4, 2.5, 2, [2, 2], (5, 3), 22),
+    "chain20": (1, 20, 2, 2.5, 2, [2, 5], (12, 13), 35),
+    "chain18": (1, 18, 2, 2.5, 2, [3, 3], (9, 9), 22),
+    "grid4x4_base": (2, 4, 2, 4.5, 4, [], (1, 1), None),  # increments too wide to fuse
+    "qutrit8": (1, 8, 3, 2.5, 2, [2, 2], (5, 3), None),
 }
 
 
-def _fused_machine(name):
-    d, side, q, alpha, r0, forced, _ = FUSED_CASES[name]
+def _fused_machine(name, c=0):
+    d, side, q, alpha, r0, forced, *_ = FUSED_CASES[name]
     lat = LatticeSpec(d, side, q)
-    req = request(lat, np.eye(q)[1], forced, alpha=alpha, r0=r0)
+    req = request(lat, np.eye(q)[1], forced, alpha=alpha, r0=r0, c=c)
     return lat, req, protocol._get_machine(req, protocol.GATE_DFT)
 
 
@@ -648,6 +650,35 @@ class TestFusedStream:
     def test_passes_per_encode(self, name):
         _lat, _req, machine = _fused_machine(name)
         assert sum(len(step[4]) for step in machine.steps) <= FUSED_CASES[name][-1]
+
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_monomial_blocks_gather_exactly(self, name):
+        # apply_gate gathers every monomial block.  Against the dense matmul a
+        # signed permutation is bit-exact; a block with other phases (merge
+        # phases fused in) may differ by the rounding of one complex multiply,
+        # which BLAS may fuse into an FMA
+        lat, _req, _machine = _fused_machine(name)
+        q, n = lat.levels, lat.n_sites
+        rng = np.random.default_rng(len(name))
+        v = rng.standard_normal(q**n) + 1j * rng.standard_normal(q**n)
+        state = StateVector(q, n, v / np.linalg.norm(v))
+        tol = 4 * np.finfo(float).eps * np.max(np.abs(state.amps))
+        for c, fewest in zip((0, n - 1), FUSED_CASES[name][-2]):
+            machine = _fused_machine(name, c)[2]
+            forward, inverse = (
+                [op[1] for step in steps for op in step[4]
+                 if op[0] == protocol._BLOCK and op[1]._perm is not None]
+                for steps in (machine.steps, machine.inverse_steps))
+            assert len(forward) == len(inverse) >= fewest
+            for gate in forward + inverse:
+                dim = gate.matrix.shape[0]
+                got = apply_gate(state, gate).amps
+                dense = np.matmul(gate.matrix, state.amps.reshape(-1, dim, q**gate.site))
+                dense = dense.reshape(-1)
+                if gate._phases is None or np.all(np.isin(gate._phases, (1, -1))):
+                    assert np.array_equal(got, dense)
+                else:
+                    assert np.max(np.abs(got - dense)) <= tol
 
     def test_bench_tracer_counts_the_compiled_ops(self):
         # bench/tracer.py's Tracer, imported read-only, counts one full-state
@@ -704,7 +735,7 @@ class TestSparseVerification:
         # kick != 0 gives the source site the phase exp(1j*kick*l) on level l,
         # so every step's fidelity is below 1 and the comparison is not only
         # at 1.0
-        d, side, q, alpha, r0, forced, _ = FUSED_CASES[name]
+        d, side, q, alpha, r0, forced, *_ = FUSED_CASES[name]
         lat = LatticeSpec(d, side, q)
         rng = np.random.default_rng(len(name))
         v = rng.standard_normal(q) + 1j * rng.standard_normal(q)

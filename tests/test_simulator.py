@@ -151,6 +151,68 @@ class TestGates:
             kinds.add("site0" if site == 0 else "widened" if q**site < 64 else "strided")
         assert kinds == {"site0", "widened", "strided"}
 
+    @staticmethod
+    def _cnot():
+        # control on the window's low site, target on its high site
+        u = np.zeros((4, 4), dtype=complex)
+        for lo, hi in itertools.product(range(2), repeat=2):
+            u[lo + 2 * (hi ^ lo), lo + 2 * hi] = 1
+        return u
+
+    @staticmethod
+    def _qutrit_shift():
+        # |j> -> omega**j |j+1 mod 3>
+        omega = np.exp(2j * np.pi / 3)
+        return np.roll(np.eye(3), 1, axis=0) @ np.diag(omega ** np.arange(3))
+
+    @pytest.mark.parametrize("name", ["x", "z", "cnot", "qutrit_shift"])
+    def test_monomial_gate_every_position(self, name):
+        # the gather at site 0, at a low stride 1 < q**site < 64 (which a
+        # dense window widens down to site 0) and at a stride of at least 64,
+        # against the kron-built matrix of test_window_gate_every_position
+        u = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
+             "z": np.diag([1, -1]).astype(complex),
+             "cnot": self._cnot(),
+             "qutrit_shift": self._qutrit_shift()}[name]
+        q = 3 if name == "qutrit_shift" else 2
+        k = round(math.log(u.shape[0], q))
+        high = next(s for s in itertools.count() if q**s >= 64)
+        n = high + k
+        state = random_state(q, n, np.random.default_rng(len(name)))
+        strides = set()
+        for site in range(n - k + 1):
+            gate = Gate(u, site)
+            assert gate._perm is not None
+            assert (gate._phases is None) == (name in ("x", "cnot"))
+            full = reduce(np.kron, [np.eye(q ** (n - site - k)), u, np.eye(q**site)])
+            got = apply_gate(state, gate)
+            assert np.max(np.abs(got.amps - full @ state.amps)) < 1e-12
+            strides.add("site0" if site == 0 else "low" if q**site < 64 else "high")
+        assert strides == {"site0", "low", "high"}
+
+    def test_near_monomial_gate_stays_dense(self):
+        # one off-support entry of 1e-14 is a nonzero: no tolerance applies
+        u = np.array([[1e-14, 1], [1, 0]], dtype=complex)
+        gate = Gate(u, 3)
+        assert gate._perm is None and gate._phases is None
+        state = random_state(2, 8)
+        full = reduce(np.kron, [np.eye(16), u, np.eye(8)])
+        assert np.max(np.abs(apply_gate(state, gate).amps - full @ state.amps)) < 1e-12
+
+    def test_gather_refuses_a_nan_input(self):
+        state = random_state(2, 8)
+        state.amps[5] = np.nan  # planted after the state was validated
+        with pytest.raises(PreconditionError):
+            apply_gate(state, Gate(self._cnot(), 2))
+
+    def test_inverse_permutation_detected(self):
+        u = self._cnot() @ np.kron(np.diag([1, 1j]), np.array([[0, 1], [1, 0]]))
+        gate, inverse = Gate(u, 1), Gate(u.conj().T, 1)
+        assert np.array_equal(inverse._perm, np.argsort(gate._perm))
+        state = random_state(2, 6)
+        back = apply_gate(apply_gate(state, gate), inverse)
+        assert np.max(np.abs(back.amps - state.amps)) < 1e-15
+
     def test_window_must_fit_the_state(self):
         with pytest.raises(OutOfBoundsError):
             apply_gate(random_state(2, 3), Gate(np.eye(4), 2))  # sites 2..3
