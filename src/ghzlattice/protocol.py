@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -210,16 +211,18 @@ def _inverted(ops: list) -> list:
     return [_inverse(op) for op in reversed(ops)]
 
 
-def _apply(state: StateVector, op: tuple, kernels: tuple | None = None) -> StateVector:
+def _apply(state: StateVector, op: tuple, out: np.ndarray | None = None,
+           kernels: tuple | None = None) -> StateVector:
     # the kernels are looked up in this module on every call, never stored in
-    # the ops, so rebinding them here reaches the whole stream
+    # the ops, so rebinding them here reaches the whole stream; every argument
+    # goes positionally, as a rebound counter takes them
     gate, increment, phase = kernels or (apply_gate, apply_controlled_increment,
                                          evolve_phase)
     if op[0] == _BLOCK:
-        return gate(state, op[1])
+        return gate(state, op[1], out)
     if op[0] == _INC:
-        return increment(state, op[1], op[2], op[3])
-    return phase(state, op[1], op[2])
+        return increment(state, op[1], op[2], op[3], out)
+    return phase(state, op[1], op[2], out)
 
 
 # The same kernels, bound once for building blocks at compile.  There they act
@@ -260,7 +263,7 @@ def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
     dim = q**k
     state = StateVector(q, 2 * k, np.eye(dim).reshape(-1) / math.sqrt(dim))
     for op in ops:
-        state = _apply(state, _shifted(op, lo), _SCRATCH_KERNELS)
+        state = _apply(state, _shifted(op, lo), kernels=_SCRATCH_KERNELS)
     u = np.ascontiguousarray(state.amps.reshape(dim, dim).T) * math.sqrt(dim)
     return (_BLOCK, Gate(u, lo), Gate(u.conj().T, lo))
 
@@ -304,7 +307,7 @@ class _Machine:
     the same list reversed with every op list inverted; ``terms`` are the
     verification terms.  All are independent of the encoded coefficients, so
     machines are cached on the plan and reused across runs (which also reuses
-    the couplings' phase-vector caches).
+    the couplings' cached phase weights).
     """
 
     def __init__(self, lattice: LatticeSpec, region: Region, c: int,
@@ -487,14 +490,21 @@ class _Machine:
         return lv * stride(merge.control) + tgt, np.broadcast_to(lv, weight.shape), weight
 
 
+#: Machines cached per plan, least recently used evicted first.
+_MACHINES_PER_PLAN = 32
+
+
 def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
     key = (req.lattice, req.region, req.c, gate_mode)
-    cache = req.plan.__dict__.setdefault("_machine_cache", {})
+    cache = req.plan.__dict__.setdefault("_machine_cache", OrderedDict())
     machine = cache.get(key)
     if machine is None:
-        machine = _Machine(req.lattice, req.region, req.c, req.plan, gate_mode=gate_mode)
-        if len(cache) < 32:
-            cache[key] = machine
+        machine = cache[key] = _Machine(req.lattice, req.region, req.c, req.plan,
+                                        gate_mode=gate_mode)
+        if len(cache) > _MACHINES_PER_PLAN:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
     return machine
 
 
@@ -547,7 +557,8 @@ def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
 
 
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
-         on_step, inverse: bool) -> tuple[StateVector, ProtocolTrace]:
+         on_step, inverse: bool,
+         overwrite: bool = False) -> tuple[StateVector, ProtocolTrace]:
     """Replay the compiled steps: forward to encode, inverted to decode.
 
     A forward step is checked against the expected state after it; an inverted
@@ -559,6 +570,12 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     A step with no ops reads the live norm**2 in full instead, so a NaN
     planted through ``on_step`` gives fidelity NaN, never a value that passes
     a bar; before any later op, that op's state validation refuses it.
+
+    The ops ping-pong between two working buffers allocated once per run: each
+    writes into the one its source does not use.  The input is never written
+    unless ``overwrite`` says no caller can see it, in which case it serves as
+    one of the two.  A state handed to ``on_step`` is never overwritten, so
+    with ``on_step`` every op allocates its own output instead.
     """
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
@@ -566,9 +583,14 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     if verify:
         _check_fits(state, req.lattice)
         checks = machine.terms[-2::-1] if inverse else machine.terms[1:]
+    spare, owned = None, overwrite  # the next op's output; whether state's is ours
     for i, (level, step, elapsed, regions, ops) in enumerate(steps):
         for op in ops:
-            state = _apply(state, op)
+            out = None
+            if on_step is None:
+                out = np.empty_like(state.amps) if spare is None else spare
+                spare, owned = (state.amps if owned else None), True
+            state = _apply(state, op, out)
         fid = None
         if verify:
             fid = trace.final_fidelity = _overlap(
@@ -589,9 +611,10 @@ def encode(
 ) -> tuple[StateVector, ProtocolTrace]:
     """Encode the source site's state into a GHZ-like state over the region.
 
-    Returns the new statevector and a trace whose step times sum to the plan's
-    total.  With ``verify`` each step is checked against its analytic expected
-    state; ``on_step(record, state)`` is called after each step if given.
+    Returns a new statevector, leaving the input unchanged, and a trace whose
+    step times sum to the plan's total.  With ``verify`` each step is checked
+    against its analytic expected state; ``on_step(record, state)`` is called
+    after each step if given.
     """
     others = tuple(s for s in site_mask(req.region, req.lattice).tolist() if s != req.c)
     _check_stray_mass(state, others, "nonzero", "region sites other than c are not in |0>")
@@ -604,16 +627,21 @@ def decode(
     verify: bool = True,
     gate_mode: str = GATE_DFT,
     on_step=None,
+    *,
+    _overwrite: bool = False,
 ) -> tuple[StateVector, ProtocolTrace]:
     """Concentrate a GHZ-like region onto the request's site c (encode inverse).
 
     Works by linearity when the region is entangled with the outside, in which
     case the recorded fidelities against unentangled expected states are not
-    meaningful and ``verify`` should be switched off.
+    meaningful and ``verify`` should be switched off.  The input is left
+    unchanged; only ``state_transfer``, whose encoded intermediate no caller
+    sees, lets decode write into it.
     """
     sites = tuple(site_mask(req.region, req.lattice).tolist())
     _check_stray_mass(state, sites, "unequal", "region is not in the GHZ-like span")
-    return _run(state, req, verify, gate_mode, on_step, inverse=True)
+    return _run(state, req, verify, gate_mode, on_step, inverse=True,
+                overwrite=_overwrite)
 
 
 def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest,
@@ -657,7 +685,8 @@ def state_transfer(
     Encodes from c into the GHZ-like state over the region, then runs the
     inverse encode targeted at c_prime.  The coefficients are read from the
     statevector only to build verification targets; the applied unitaries
-    never depend on them.
+    never depend on them.  The decode writes into the encoded intermediate, so
+    a transfer holds the input plus two working buffers.
     """
     if lattice is None:
         if plan.lattice is None:
@@ -672,7 +701,8 @@ def state_transfer(
     req_in = EncodeRequest(lattice, region, c, coeffs, plan)
     state, trace_enc = encode(state, req_in, verify=verify, gate_mode=gate_mode)
     req_out = EncodeRequest(lattice, region, c_prime, coeffs, plan)
-    state, trace_dec = decode(state, req_out, verify=verify, gate_mode=gate_mode)
+    state, trace_dec = decode(state, req_out, verify=verify, gate_mode=gate_mode,
+                              _overwrite=True)
     return state, ProtocolTrace(
         records=trace_enc.records + trace_dec.records,
         total_time=2 * plan.t_total,

@@ -5,9 +5,13 @@ site 0 is the least significant digit, so the basis state with site ``s`` at
 level ``l_s`` lives at flat amplitude index ``sum_s l_s * q**s``.  Equivalently
 ``amps.reshape((q,)*n)`` puts site ``n-1`` on axis 0 and site 0 on axis n-1.
 
-Operations are functional: they return a new StateVector and never mutate
-their input.  Every operation validates that the output stays normalized to
-1e-10, which is the module's running invariant.
+Operations never mutate their input.  Each kernel returns a new StateVector
+over a fresh array, or, given ``out``, writes its result into that array and
+returns a StateVector over it; ``out`` must be a C-contiguous complex128 array
+of the state's size that shares no memory with the input.  A protocol run
+ping-pongs between two such buffers, so it holds the input plus two working
+buffers, about 3x the state in bytes.  Every operation validates that the
+output stays normalized to 1e-10, which is the module's running invariant.
 
 A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
 ``site .. site+k-1``.  :func:`apply_gate` applies a monomial gate (exactly one
@@ -23,7 +27,9 @@ The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
 ``exp(-1j * duration * J * w_c * sum_j w_j)`` where ``w_c`` / ``w_j`` are the
 level sums over the control / j-th target mask (popcounts for qubits).  They
-are built on the masked axes of the ``(q,)*n`` view only, never per basis state.
+are built on the masked axes of the ``(q,)*n`` view only, never per basis state,
+and a coupling caches only that integer weight block; its complex phases are
+looked up slab by slab, so no full-size phase array exists.
 """
 from __future__ import annotations
 
@@ -42,10 +48,17 @@ DEFAULT_AMP_CAP = 1 << 26
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-12
 _WIDEN_BELOW = 64
+# largest phase block evolve_phase looks up at once; a wider one goes slab by slab
+_PHASE_SLAB = 1 << 14
 
 
 def check_capacity(q: int, n: int, max_amps: int | None = None) -> int:
-    """Number of amplitudes q**n, or a MemoryCapError refusal if over the cap."""
+    """Number of amplitudes q**n, or a MemoryCapError refusal if over the cap.
+
+    The cap counts amplitudes of one state (16 bytes each).  An encode, decode
+    or transfer holds the input plus two working buffers, so its peak is about
+    3x that state in bytes.
+    """
     cap = DEFAULT_AMP_CAP if max_amps is None else max_amps
     if q < 2 or n < 1:
         raise PreconditionError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
@@ -198,12 +211,29 @@ def dft_matrix(q: int) -> np.ndarray:
     return mat / np.sqrt(float(q))
 
 
+def _output(state: StateVector, out: np.ndarray | None) -> np.ndarray:
+    """The flat array a kernel writes its result into: ``out``, checked, or a
+    new one."""
+    if out is None:
+        return np.empty_like(state.amps)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.complex128
+            and out.size == state.amps.size and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise PreconditionError(
+            f"out must be a writeable C-contiguous complex128 array of "
+            f"{state.amps.size} amplitudes"
+        )
+    if np.may_share_memory(out, state.amps):
+        raise PreconditionError("out may share memory with the input state")
+    return out.reshape(-1)
+
+
 def _widened_site(q: int, site: int) -> int:
     """First site of the window apply_gate applies for one starting at ``site``."""
     return 0 if q**site < _WIDEN_BELOW else site
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) -> StateVector:
     """Apply a window unitary to its k consecutive sites.
 
     A monomial gate is one gather along axis 1 of the (hi, q**k, lo) view,
@@ -212,7 +242,8 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     (hi, q**k) view; any other window is a batched matmul over the
     (hi, q**k, lo) view.  A dense window whose low stride lo = q**site lies
     in (1, 64) is first widened down to site 0 (kron with the identity on the
-    low sites), since the strided matmul is slow at small lo.
+    low sites), since the strided matmul is slow at small lo.  The result
+    goes into ``out`` if given (see the module docstring).
     """
     q, n, s = state.q, state.n, gate.site
     mat = gate.matrix
@@ -225,22 +256,26 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         raise OutOfBoundsError(f"gate sites {s}..{s + k - 1} outside 0..{n - 1}")
     if gate._perm is None and s > 0 and _widened_site(q, s) == 0:
         mat, k, s = np.kron(mat, np.eye(q**s)), k + s, 0
-    dim, hi = q**k, q ** (n - s - k)
+    shape = (q ** (n - s - k), q**k, q**s)
+    psi, res = state.amps.reshape(shape), _output(state, out).reshape(shape)
     if gate._perm is not None:
-        out = np.take(state.amps.reshape(hi, dim, q**s), gate._perm, axis=1)
+        # _perm is in range, so "wrap" never wraps; "raise" would buffer res
+        np.take(psi, gate._perm, axis=1, out=res, mode="wrap")
         if gate._phases is not None:
-            out *= gate._phases[:, None]
+            res *= gate._phases[:, None]
     elif s == 0:
-        out = state.amps.reshape(hi, dim) @ mat.T
+        np.matmul(psi.reshape(shape[:2]), mat.T, out=res.reshape(shape[:2]))
     else:
-        out = np.matmul(mat, state.amps.reshape(hi, dim, q**s))
-    return StateVector(q, n, out.reshape(-1))
+        np.matmul(mat, psi, out=res)
+    return StateVector(q, n, res.reshape(-1))
 
 
 def apply_controlled_increment(
-    state: StateVector, control: int, target: int, inverse: bool = False
+    state: StateVector, control: int, target: int, inverse: bool = False,
+    out: np.ndarray | None = None,
 ) -> StateVector:
-    """|l>_control |x>_target -> |l>|x + l mod q>  (CNOT at q=2)."""
+    """|l>_control |x>_target -> |l>|x + l mod q>  (CNOT at q=2), into ``out``
+    if given."""
     if control == target:
         raise PreconditionError("control and target sites must differ")
     for s in (control, target):
@@ -252,7 +287,7 @@ def apply_controlled_increment(
     inner, mid, outer = q**lo, q ** (hi - lo - 1), q ** (n - 1 - hi)
     psi = state.amps.reshape(outer, q, mid, q, inner)
     axc, axt = (1, 3) if control == hi else (3, 1)
-    out = np.empty_like(psi)
+    res = _output(state, out).reshape(psi.shape)
     sel_out: list = [slice(None)] * 5
     sel_in: list = [slice(None)] * 5
     for lc in range(q):
@@ -260,8 +295,8 @@ def apply_controlled_increment(
         for a in range(q):
             sel_out[axt] = a
             sel_in[axt] = (a + lc) % q if inverse else (a - lc) % q
-            out[tuple(sel_out)] = psi[tuple(sel_in)]
-    return StateVector(q, n, out.reshape(-1))
+            res[tuple(sel_out)] = psi[tuple(sel_in)]
+    return StateVector(q, n, res.reshape(-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,12 +358,15 @@ def _axis_level_sum(q: int, n: int, sites: list, dtype) -> np.ndarray:
 
 
 def evolve_phase(
-    state: StateVector, coupling: PhaseCoupling, duration: float
+    state: StateVector, coupling: PhaseCoupling, duration: float,
+    out: np.ndarray | None = None,
 ) -> StateVector:
     """Exact diagonal evolution under the merge coupling for the given duration.
 
-    The phase vector is built on the (q,)*n view as a compact block with
-    length q only on the masked sites' axes, and broadcast against the state.
+    The weights w_c * w_t are an integer block on the (q,)*n view with length
+    q only on the masked sites' axes, cached on the coupling per (q, n).  The
+    phases are looked up from it and broadcast against the state, slab by
+    slab over its outer axes when the block is wide, into ``out`` if given.
     Negative durations run the evolution backward (the inverse unitary).
     """
     if not math.isfinite(duration):
@@ -337,23 +375,32 @@ def evolve_phase(
         if mask.size and (mask.min() < 0 or mask.max() >= state.n):
             raise OutOfBoundsError("coupling mask site outside the state")
     q, n = state.q, state.n
+    n_targets = sum(t.size for t in coupling.target_masks)
+    top = (q - 1) ** 2 * coupling.control_mask.size * n_targets  # the largest weight
     cache = coupling.__dict__.setdefault("_phase_cache", {})
-    key = (q, n, duration)
-    phases = cache.get(key)
-    if phases is None:
-        control = coupling.control_mask.tolist()
+    w = cache.get((q, n))
+    if w is None:
+        # in the smallest dtype that holds the weights
+        dtype = np.min_scalar_type(top)
         targets = [s for t in coupling.target_masks for s in t.tolist()]
-        # w_c * w_t on the masked axes only, in the smallest dtype that holds it
-        dtype = np.min_scalar_type((q - 1) ** 2 * len(control) * len(targets))
-        w = _axis_level_sum(q, n, control, dtype) * _axis_level_sum(q, n, targets, dtype)
-        # weights are small integers; exponentiate the few distinct values once
-        table = np.exp(
-            (-1j * duration * coupling.strength) * np.arange(int(w.max()) + 1)
-        )
-        phases = table[w]
-        if len(cache) < 8:
-            cache[key] = phases
-    return StateVector(q, n, (state.tensor() * phases).reshape(-1))
+        w = cache[(q, n)] = (_axis_level_sum(q, n, coupling.control_mask.tolist(), dtype)
+                             * _axis_level_sum(q, n, targets, dtype))
+    # weights are small integers; exponentiate the few distinct values once
+    table = np.exp((-1j * duration * coupling.strength) * np.arange(top + 1))
+    psi = state.tensor()
+    res = _output(state, out).reshape(psi.shape)
+    lead, inner = 0, w.size
+    while inner > _PHASE_SLAB:
+        inner //= w.shape[lead]
+        lead += 1
+    phases = np.empty(w.shape[lead:], dtype=np.complex128)
+    for idx in np.ndindex(*w.shape[:lead]):
+        # one slab: w's leading axes fixed, the unmasked ones among them whole;
+        # the weights are in range, so "wrap" never wraps
+        sel = tuple(i if size > 1 else slice(None) for i, size in zip(idx, w.shape))
+        np.take(table, w[idx], out=phases, mode="wrap")
+        np.multiply(psi[sel], phases, out=res[sel])
+    return StateVector(q, n, res.reshape(-1))
 
 
 def fidelity(x: StateVector, y: StateVector) -> float:

@@ -582,6 +582,24 @@ class TestCompiledStream:
         decode(mid, req, verify=False)
         assert calls == want
 
+    def test_machine_cache_is_lru(self):
+        # 33 side-4 regions on a 40-site chain, machines only (no 2**40 state):
+        # a hit moves its key to the end, a new key evicts the oldest
+        lat = chain(40)
+        p = plan(2.5, 1, 4, r0=2, forced_m=[2])
+        reqs = [EncodeRequest(lat, Region((a,), 4), a, [1, 0], p) for a in range(33)]
+
+        def get(i):
+            return protocol._get_machine(reqs[i], protocol.GATE_DFT)
+
+        machines = [get(i) for i in range(32)]
+        assert get(0) is machines[0]  # a hit, now the most recent
+        last = get(32)  # evicts key 1, the oldest
+        assert len(p._machine_cache) == protocol._MACHINES_PER_PLAN == 32
+        assert get(32) is last and get(0) is machines[0] and get(2) is machines[2]
+        assert get(1) is not machines[1]  # rebuilt, evicting key 3
+        assert get(3) is not machines[3]
+
 
 # (d, side, q, alpha, r0, forced_m, fewest monomial blocks per encode from
 # site 0 and from the last site, largest compiled ops per encode or None)
@@ -788,6 +806,32 @@ class TestSparseVerification:
         assert [rec[:2] for rec in seen] == [(0, 1), (1, 2)]
 
 
+class TestInputsUntouched:
+    """encode, decode and state_transfer run on their own working buffers and
+    never write into the caller's input."""
+
+    @pytest.mark.parametrize("name", ["chain16", "grid4x4_base", "qutrit8"])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_input_bit_identical(self, name, verify):
+        lat, req, _machine = _fused_machine(name)
+        q, last = lat.levels, lat.n_sites - 1
+        v = np.arange(1, q + 1) * np.exp(1j * np.arange(q))
+        v = v / np.linalg.norm(v)
+        req = EncodeRequest(lat, req.region, 0, v, req.plan)
+        state = source_state(lat, 0, v)
+        kept = state.amps.copy()
+        mid, _ = encode(state, req, verify=verify)
+        assert np.array_equal(state.amps, kept)
+        kept_mid = mid.amps.copy()
+        back, _ = decode(mid, req, verify=verify)
+        assert np.array_equal(mid.amps, kept_mid)
+        assert np.max(np.abs(back.amps - kept)) <= 1e-12
+        out, _ = state_transfer(state, 0, last, req.region, req.plan, lattice=lat,
+                                verify=verify)
+        assert np.array_equal(state.amps, kept)
+        assert fidelity(out, source_state(lat, last, v)) >= FIDELITY_BAR
+
+
 class TestStrayMassGuard:
     """encode refuses weight off |0> on the region's other sites, decode
     refuses weight outside the GHZ-like span; both at 1e-10 stray mass."""
@@ -885,6 +929,14 @@ def test_transfer_verify_memory_2_22():
     off, on = (_rss_growth(_encode_rss_child(22, [11], verify=v, target=21))
                for v in (False, True))
     assert on <= 1.05 * off, (on, off)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_transfer_peak_memory_2_22():
+    """A verified 2^22 transfer grows peak RSS by at most 3 states (64 MiB
+    each): its ops ping-pong between two working buffers, decode reuses the
+    encoded intermediate, and no full-size phase vector is cached."""
+    assert _rss_growth(_encode_rss_child(22, [11], target=21)) <= 3 * 64 * 2**20
 
 
 # (d, q, r0, forced_m) with at most 2**12 amplitudes

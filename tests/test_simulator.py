@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ghzlattice import simulator
 from ghzlattice.errors import MemoryCapError, OutOfBoundsError, PreconditionError
 from ghzlattice.geometry import LatticeSpec, Region, site_mask
 from ghzlattice.simulator import (
@@ -403,6 +404,80 @@ class TestEvolvePhase:
         illegal = PhaseCoupling(np.array([0, 1]), (np.array([2, 3]),), strength=0.2)
         with pytest.raises(PreconditionError):
             illegal.check_power_law(lat, 2.5)  # pair (0,3) at distance 3
+
+
+def _unitary(dim, seed):
+    rng = np.random.default_rng(seed)
+    return np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))[0]
+
+
+class TestOutBuffer:
+    """Each kernel given ``out`` writes its result there, bit for bit what the
+    allocating call returns, and refuses a buffer it cannot write safely."""
+
+    @staticmethod
+    def check(state, kernel, *args):
+        want = kernel(state, *args)
+        before = state.amps.copy()
+        out = np.full_like(state.amps, np.nan)  # stale contents must not leak
+        got = kernel(state, *args, out)
+        assert np.shares_memory(got.amps, out)
+        assert np.array_equal(got.amps, want.amps)
+        assert np.array_equal(state.amps, before)
+
+    @pytest.mark.parametrize("site,path", [
+        (2, "gather"), (0, "site0"), (3, "widened"), (6, "strided"),
+    ])
+    def test_apply_gate(self, site, path):
+        # q=2, n=8: 2**site < 64 is widened down to site 0 unless site is 0
+        u = TestGates._cnot() if path == "gather" else _unitary(4, site)
+        gate = Gate(u, site)
+        assert (gate._perm is not None) == (path == "gather")
+        self.check(random_state(2, 8), apply_gate, gate)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("control,target,inverse", [(0, 3, False), (4, 1, True)])
+    def test_controlled_increment(self, q, control, target, inverse):
+        self.check(random_state(q, 5), apply_controlled_increment, control, target, inverse)
+
+    @pytest.mark.parametrize("q,n,control,targets", [
+        (3, 6, [0, 4], [[1], [5]]),  # compact: a 3**4 weight block
+        (2, 16, list(range(8)), [list(range(8, 12)), list(range(12, 16))]),  # slabs
+    ])
+    def test_evolve_phase(self, q, n, control, targets):
+        coup = PhaseCoupling(np.array(control), tuple(np.array(t) for t in targets), 0.21)
+        slabs = q ** (len(control) + sum(map(len, targets))) > simulator._PHASE_SLAB
+        assert slabs == (n == 16)
+        state = random_state(q, n)
+        for duration in (0.7, -1.9):
+            self.check(state, evolve_phase, coup, duration)
+            # the same products as one full-size phase vector would give
+            got = evolve_phase(state, coup, duration).amps
+            assert np.array_equal(got, TestEvolvePhase.digit_oracle(state, coup, duration))
+        assert all(w.dtype == np.uint8 for w in coup._phase_cache.values())
+
+    def test_refusals(self):
+        state = random_state(2, 6)
+        gate = Gate(hadamard_matrix(), 3)
+        with pytest.raises(PreconditionError, match="share memory"):
+            apply_gate(state, gate, state.amps)  # aliased
+        big = np.zeros(2 * 64, dtype=np.complex128)
+        big[:64] = state.amps
+        viewed = StateVector(2, 6, big[:64])
+        for out in (big[1:65], big[63:127]):  # overlapping views
+            with pytest.raises(PreconditionError, match="share memory"):
+                apply_controlled_increment(viewed, 0, 1, False, out)
+        coup = PhaseCoupling(np.array([0]), (np.array([1]),), 1.0)
+        frozen = np.empty(64, dtype=np.complex128)
+        frozen.flags.writeable = False
+        wrong = (np.empty(32, dtype=np.complex128), np.empty(64, dtype=np.complex64),
+                 np.empty(128, dtype=np.complex128)[::2], [0j] * 64, frozen)
+        for out in wrong:
+            with pytest.raises(PreconditionError, match="C-contiguous complex128"):
+                evolve_phase(state, coup, 0.5, out)
+        # a disjoint view of the same buffer is fine
+        evolve_phase(viewed, coup, 0.5, big[64:])
 
 
 class TestNormPreservation:
