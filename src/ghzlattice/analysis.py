@@ -45,25 +45,25 @@ class ScalingRow:
         return asdict(self)
 
 
-def _resolve_plan(alpha: float, d: int, r, mode: str, r0: int, **plan_kw) -> SchedulePlan:
+def _resolve_plan(alpha: float, d: int, r, mode: str, r0: int) -> SchedulePlan:
     if mode == CONTINUOUS:
-        return plan(alpha, d, r, r0=r0, mode=CONTINUOUS, **plan_kw)
+        return plan(alpha, d, r, r0=r0, mode=CONTINUOUS)
     if mode == INTEGER_EXACT:
-        return plan(alpha, d, int(r), r0=r0, mode=INTEGER_EXACT, **plan_kw)
+        return plan(alpha, d, int(r), r0=r0, mode=INTEGER_EXACT)
     if mode != AUTO:
         raise PreconditionError(f"unknown sweep mode {mode!r}")
     try:
         if float(r).is_integer():
-            return plan(alpha, d, int(r), r0=r0, mode=INTEGER_EXACT, **plan_kw)
+            return plan(alpha, d, int(r), r0=r0, mode=INTEGER_EXACT)
     except (UnreachableTargetError, PreconditionError):
         # unreachable size, or a merge-rule precondition (e.g. the alpha = 2d
         # rule needs r0 >= exp(8/d)); sample the continuous curve instead
         pass
-    return plan(alpha, d, r, r0=r0, mode=CONTINUOUS, **plan_kw)
+    return plan(alpha, d, r, r0=r0, mode=CONTINUOUS)
 
 
 def scaling_sweep(
-    alphas, d: int, r_values, mode: str = AUTO, r0: int = 2, **plan_kw
+    alphas, d: int, r_values, mode: str = AUTO, r0: int = 2
 ) -> list[ScalingRow]:
     """Protocol time rows over an (alpha, r) grid.
 
@@ -75,7 +75,7 @@ def scaling_sweep(
     rows = []
     for alpha in alphas:
         for r in r_values:
-            p = _resolve_plan(alpha, d, r, mode, r0, **plan_kw)
+            p = _resolve_plan(alpha, d, r, mode, r0)
             if alpha < 2 * d + 1:
                 curves = table1_curves(alpha, d, r)
                 prev, cone = curves["encode_prev_best"], curves["encode_lightcone"]
@@ -133,23 +133,22 @@ def fit_sqrtlog_slope(rs, ts) -> float:
 
 
 def fitted_exponent(
-    alpha: float, d: int, r_lo: float, r_hi: float,
-    n_points: int = 16, r0: int = 2, mode: str = CONTINUOUS, **plan_kw
+    alpha: float, d: int, r_lo: float, r_hi: float, n_points: int = 16, r0: int = 2
 ) -> float:
-    """Power-law exponent of t(r) fitted on a log-spaced window."""
+    """Power-law exponent of the continuous-analytic t(r), fitted on a
+    log-spaced window."""
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), n_points)
-    ts = [plan(alpha, d, r, r0=r0, mode=mode, **plan_kw).t_total for r in rs]
+    ts = [plan(alpha, d, r, r0=r0, mode=CONTINUOUS).t_total for r in rs]
     return fit_loglog_slope(rs, ts)
 
 
 def decade_exponents(
-    alpha: float, d: int, first_decade: int, n_decades: int,
-    r0: int = 2, points_per_decade: int = 12,
+    alpha: float, d: int, first_decade: int, n_decades: int
 ) -> list[float]:
-    """Fitted exponents over successive decades [10^j, 10^(j+1)]."""
+    """Fitted exponents over successive decades [10^j, 10^(j+1)], 12 points
+    each, from base side 2."""
     return [
-        fitted_exponent(alpha, d, 10.0**j, 10.0 ** (j + 1),
-                        n_points=points_per_decade, r0=r0)
+        fitted_exponent(alpha, d, 10.0**j, 10.0 ** (j + 1), n_points=12)
         for j in range(first_decade, first_decade + n_decades)
     ]
 
@@ -167,14 +166,14 @@ def _speedup(alpha: float, d: int, r, r0: int) -> tuple[float, float, float]:
 
 
 def speedup_crossover(
-    alpha: float, d: int, r0: int = 2, r_max: float = 1e100,
-    points_per_decade: int = 4,
+    alpha: float, d: int, r0: int = 2, r_max: float = 1e100
 ) -> float | None:
-    """Smallest sampled r from which t_prev_best / t_protocol stays >= 1.
+    """Smallest sampled r, four per decade, from which t_prev_best / t_protocol
+    stays >= 1.
 
     Returns None when the sampled grid never reaches a stable crossover.
     """
-    n = int(points_per_decade * math.log10(r_max / r0)) + 1
+    n = int(4 * math.log10(r_max / r0)) + 1
     rs = np.logspace(math.log10(float(r0)), math.log10(r_max), n)
     ratios = [_speedup(alpha, d, r, r0)[2] for r in rs]
     crossover = None
@@ -187,8 +186,9 @@ def speedup_crossover(
     return crossover
 
 
-def speedup_report(alpha: float, d: int, r, r0: int = 2) -> dict:
-    """Speedup over the previous best protocol at size r, with its growth class.
+def speedup_report(alpha: float, d: int, r) -> dict:
+    """Speedup over the previous best protocol at size r, with its growth class,
+    for the protocol from base side 2.
 
     The polynomial / superpolynomial call follows fitted-exponent evidence:
     windows of the protocol exponent moving right and the ratio along them.
@@ -204,14 +204,11 @@ def speedup_report(alpha: float, d: int, r, r0: int = 2) -> dict:
         ratio = 1.0
         t_prev = t_proto = None
     else:
-        t_prev, t_proto, ratio = _speedup(alpha, d, r, r0)
+        t_prev, t_proto, ratio = _speedup(alpha, d, r, 2)
 
-    anchors = [max(float(r), 10.0 * r0), 1e3 * max(float(r), 10.0 * r0),
-               1e6 * max(float(r), 10.0 * r0)]
-    window_exponents = [
-        fitted_exponent(alpha, d, a, 32.0 * a, n_points=8, r0=r0) for a in anchors
-    ]
-    window_ratios = [_speedup(alpha, d, a, r0)[2] for a in anchors]
+    anchors = [max(float(r), 20.0) * f for f in (1.0, 1e3, 1e6)]
+    window_exponents = [fitted_exponent(alpha, d, a, 32.0 * a, n_points=8) for a in anchors]
+    window_ratios = [_speedup(alpha, d, a, 2)[2] for a in anchors]
     drifting_to_zero = all(
         b < a - 1e-3 for a, b in zip(window_exponents, window_exponents[1:])
     )

@@ -67,9 +67,9 @@ from .simulator import (
     PhaseCoupling,
     StateVector,
     _root_of_unity,
-    _widened_site,
     apply_controlled_increment,
     apply_gate,
+    basis_vector,
     dft_matrix,
     evolve_phase,
     hadamard_matrix,
@@ -198,6 +198,13 @@ _PHASE = "phase"  # (_PHASE, coupling, duration)
 _BLOCK_AMPS = 64
 
 
+def _widened_site(q: int, site: int) -> int:
+    """First site of the block window for ops starting at ``site``: site 0
+    when the low stride q**site is below _BLOCK_AMPS, where a strided matmul
+    is slow, else ``site`` itself."""
+    return 0 if q**site < _BLOCK_AMPS else site
+
+
 def _inverse(op: tuple) -> tuple:
     if op[0] == _BLOCK:
         return (_BLOCK, op[2], op[1])
@@ -253,7 +260,8 @@ def _shifted(op: tuple, lo: int) -> tuple:
 
 
 def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
-    """The ops on sites lo..hi as one window block, widened as apply_gate would.
+    """The ops on sites lo..hi as one window block, widened down to site 0
+    when its low stride is below _BLOCK_AMPS (see :func:`_widened_site`).
 
     The kernels run on the identity of a 2k-site state (window sites low,
     k copies above), scaled to norm 1; the result reshaped is U transposed.
@@ -272,7 +280,7 @@ def _fuse(q: int, ops: list) -> list:
     """Merge each run of consecutive ops whose sites fit one window of at most
     _BLOCK_AMPS amplitudes into one block, greedily left to right.
 
-    The window counts the low sites apply_gate would widen it over; an op
+    The window counts the low sites :func:`_block` widens it over; an op
     wider than the cap on its own stays a single op.
     """
     def fits(a: int, b: int) -> bool:
@@ -644,12 +652,15 @@ def decode(
                 overwrite=_overwrite)
 
 
-def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest,
-                gate_mode: str = GATE_DFT) -> float:
+def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest) -> float:
     """Fidelity of the live state against the analytic state after step
-    ``step_id`` of ``level`` (see ``_run`` for how it is read)."""
+    ``step_id`` of ``level`` (see ``_run`` for how it is read).
+
+    The expected states depend on the geometry alone, so this holds for
+    either gate mode.
+    """
     _check_fits(state, req.lattice)
-    machine = _get_machine(req, gate_mode)
+    machine = _get_machine(req, GATE_DFT)
     for (lv, step, *_), terms in zip(machine.steps, machine.terms[1:]):
         if (lv, step) == (level, step_id):
             return _overlap(state, terms, req.coefficients)
@@ -657,15 +668,15 @@ def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest
 
 
 def _extract_site_coefficients(state: StateVector, site: int) -> np.ndarray:
-    """Read off the source-site amplitudes when the rest of the region is |0>."""
+    """Read off the source-site amplitudes when every other site is in |0>."""
     coeffs = np.array(
         [state.amps[state.q**site * lv] for lv in range(state.q)], dtype=np.complex128
     )
     norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     if not abs(norm - 1.0) <= 1e-8:
         raise StatePreconditionError(
-            "cannot read source coefficients: region is not a product state "
-            f"with |0> elsewhere (norm {norm:.6f})"
+            f"verify needs every site other than {site} in |0> to read the source "
+            f"coefficients (norm {norm:.6f}); verify=False transfers anyway"
         )
     return coeffs / norm
 
@@ -683,10 +694,11 @@ def state_transfer(
     """Move the (possibly unknown) state of site c to site c_prime in time 2t.
 
     Encodes from c into the GHZ-like state over the region, then runs the
-    inverse encode targeted at c_prime.  The coefficients are read from the
-    statevector only to build verification targets; the applied unitaries
-    never depend on them.  The decode writes into the encoded intermediate, so
-    a transfer holds the input plus two working buffers.
+    inverse encode targeted at c_prime.  Only ``verify`` reads the coefficients
+    off the statevector, to build its targets, and so needs every site other
+    than c in |0>; the applied unitaries never depend on them.  The decode
+    writes into the encoded intermediate, so a transfer holds the input plus
+    two working buffers.
     """
     if lattice is None:
         if plan.lattice is None:
@@ -697,7 +709,8 @@ def state_transfer(
             raise OutOfBoundsError(f"site {s} lies outside the region")
     if c == c_prime:
         return state, ProtocolTrace(total_time=0.0, forced=plan.forced)
-    coeffs = _extract_site_coefficients(state, c)
+    coeffs = (_extract_site_coefficients(state, c) if verify
+              else basis_vector(lattice.levels, 0))
     req_in = EncodeRequest(lattice, region, c, coeffs, plan)
     state, trace_enc = encode(state, req_in, verify=verify, gate_mode=gate_mode)
     req_out = EncodeRequest(lattice, region, c_prime, coeffs, plan)

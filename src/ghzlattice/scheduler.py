@@ -251,11 +251,10 @@ def make_params(
     K_alpha: float | None = None,
     t_base: float | None = None,
     kappa_factor: float = 4.0,
-    m=None,
 ) -> RegimeParams:
     """RegimeParams with defaults: K = regime minimum, t_base = envelope at r0.
 
-    Without K or m, the power-regime minimum is taken at the m of
+    Without K, the power-regime minimum is taken at the m of
     :func:`choose_m`; where that m is not resolvably above the pole in double
     precision, raises UnsupportedRegimeError.
     """
@@ -268,7 +267,7 @@ def make_params(
         raise PreconditionError(f"t_base must be finite and >= 0, got {t_base}")
     if reg == POLYLOG and not 3.0 < kappa_factor <= 4.0:
         raise PreconditionError(f"kappa_factor must be in (3, 4], got {kappa_factor}")
-    if K_alpha is None and reg == POWER and m is None:
+    if K_alpha is None and reg == POWER:
         m = choose_m(alpha, d, r0)
         try:
             K_alpha = k_alpha_min(alpha, d, m=m)
@@ -281,7 +280,7 @@ def make_params(
                 "and forced_m"
             )
     elif K_alpha is None:
-        K_alpha = k_alpha_min(alpha, d, m=m, r0=r0, kappa_factor=kappa_factor)
+        K_alpha = k_alpha_min(alpha, d, r0=r0, kappa_factor=kappa_factor)
     params = RegimeParams(alpha=alpha, d=d, K_alpha=K_alpha, r0=r0, t_base=t_base,
                           kappa_factor=kappa_factor)
     if t_base is None:
@@ -587,11 +586,9 @@ def _continuous_plan(params: RegimeParams, target_r, q: int = 2) -> SchedulePlan
     )
 
 
-def protocol_time(
-    alpha: float, d: int, r, r0: int = 2, mode: str = "continuous-analytic", **kw
-) -> float:
-    """Total encode time t(r); convenience wrapper around :func:`plan`."""
-    return plan(alpha, d, r, r0=r0, mode=mode, **kw).t_total
+def protocol_time(alpha: float, d: int, r) -> float:
+    """Total encode time t(r) of the continuous-analytic plan from base side 2."""
+    return plan(alpha, d, r, r0=2, mode="continuous-analytic").t_total
 
 
 def t_star(alpha: float, d: int, n) -> float:

@@ -19,9 +19,8 @@ nonzero per row: increments, shifts, phases) as one gather along the window
 axis of the (hi, q**k, lo) view with lo = q**site, times its phases unless
 they are all exactly 1.  Any other gate takes one of two dense layouts: a
 window at site 0 right-multiplies the (hi, q**k) view, any other window is a
-batched matmul over the (hi, q**k, lo) view.  A strided matmul at a small lo
-is slow, so a dense window with 1 < lo < 64 is first widened down to site 0
-(its matrix kron the identity on the lo low amplitudes); a gather is not.
+batched matmul over the (hi, q**k, lo) view.  The layout follows from the gate
+alone; apply_gate never rewrites a gate.
 
 The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
@@ -47,7 +46,6 @@ DEFAULT_AMP_CAP = 1 << 26
 
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-12
-_WIDEN_BELOW = 64
 # largest phase block evolve_phase looks up at once; a wider one goes slab by slab
 _PHASE_SLAB = 1 << 14
 
@@ -228,11 +226,6 @@ def _output(state: StateVector, out: np.ndarray | None) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _widened_site(q: int, site: int) -> int:
-    """First site of the window apply_gate applies for one starting at ``site``."""
-    return 0 if q**site < _WIDEN_BELOW else site
-
-
 def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) -> StateVector:
     """Apply a window unitary to its k consecutive sites.
 
@@ -240,10 +233,8 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) ->
     then an in-place multiply by its phases if it has any.  Other gates take
     two dense layouts: a window starting at site 0 is a right-multiply of the
     (hi, q**k) view; any other window is a batched matmul over the
-    (hi, q**k, lo) view.  A dense window whose low stride lo = q**site lies
-    in (1, 64) is first widened down to site 0 (kron with the identity on the
-    low sites), since the strided matmul is slow at small lo.  The result
-    goes into ``out`` if given (see the module docstring).
+    (hi, q**k, lo) view, lo = q**site.  The result goes into ``out`` if given
+    (see the module docstring).
     """
     q, n, s = state.q, state.n, gate.site
     mat = gate.matrix
@@ -254,8 +245,6 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) ->
         )
     if not (0 <= s and s + k <= n):
         raise OutOfBoundsError(f"gate sites {s}..{s + k - 1} outside 0..{n - 1}")
-    if gate._perm is None and s > 0 and _widened_site(q, s) == 0:
-        mat, k, s = np.kron(mat, np.eye(q**s)), k + s, 0
     shape = (q ** (n - s - k), q**k, q**s)
     psi, res = state.amps.reshape(shape), _output(state, out).reshape(shape)
     if gate._perm is not None:
@@ -417,15 +406,14 @@ def expected_ghz(
     lattice: LatticeSpec,
     coefficients,
     rest=None,
-    max_amps: int | None = None,
 ) -> StateVector:
     """sum_l a_l |l...l>_region tensored with a product background elsewhere.
 
     ``rest`` optionally maps complement flat indices to q-vectors; unlisted
-    complement sites stay in |0>.
+    complement sites stay in |0>.  The default amplitude cap applies.
     """
     q, n = lattice.levels, lattice.n_sites
-    check_capacity(q, n, max_amps)
+    check_capacity(q, n)
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if coeffs.size != q:
         raise PreconditionError(f"need {q} coefficients, got {coeffs.size}")

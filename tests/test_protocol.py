@@ -399,6 +399,39 @@ class TestStateTransfer:
             state_transfer(source_state(lat, 0, [1, 0]), 0, 9,
                            lat.full_region(), p, lattice=lat)
 
+    @staticmethod
+    def _outside_the_region(case):
+        # an 8-chain whose region is sites 0..3: (input, moved state) with
+        # site 5 in |1>, or with site 0 in a Bell pair with site 6
+        lat = chain(8)
+        if case == "excited":
+            states = [basis_vector(2, 0) for _ in range(8)]
+            states[5] = basis_vector(2, 1)
+            moved = list(states)
+            states[0] = moved[3] = np.array([0.6, 0.8], dtype=complex)
+            return init_product(lat, states), init_product(lat, moved)
+        bell = []
+        for c in (0, 3):
+            amps = np.zeros(2**8, dtype=complex)
+            amps[[0, 2**c + 2**6]] = 1 / math.sqrt(2)
+            bell.append(StateVector(2, 8, amps))
+        return bell
+
+    @pytest.mark.parametrize("case", ["excited", "bell"])
+    def test_unverified_moves_a_state_tied_to_the_outside(self, case):
+        state, want = self._outside_the_region(case)
+        p = plan(2.5, 1, 4, r0=2, forced_m=[2])
+        out, _ = state_transfer(state, 0, 3, Region((0,), 4), p, lattice=chain(8),
+                                verify=False)
+        assert fidelity(out, want) >= FIDELITY_BAR
+
+    @pytest.mark.parametrize("case", ["excited", "bell"])
+    def test_verified_refuses_a_state_tied_to_the_outside(self, case):
+        state, _ = self._outside_the_region(case)
+        p = plan(2.5, 1, 4, r0=2, forced_m=[2])
+        with pytest.raises(StatePreconditionError, match="verify"):
+            state_transfer(state, 0, 3, Region((0,), 4), p, lattice=chain(8))
+
 
 class TestVerifyStep:
     def test_a_branch_after_merge(self):
@@ -445,6 +478,19 @@ class TestVerifyStep:
         req = request(lat, [0.6, 0.8], [2])
         with pytest.raises(PreconditionError):
             verify_step(source_state(lat, 0, [0.6, 0.8]), 1, 7, req)
+
+    def test_matches_the_records_of_a_hadamard_encode(self):
+        # the expected states depend on the geometry alone, so verify_step
+        # (which takes no gate mode) reads each Hadamard-path step exactly as
+        # the step's own record did
+        lat = chain(16)
+        req = request(lat, [0.6, 0.8], [2, 2, 2])
+        captured = []
+        encode(source_state(lat, 0, [0.6, 0.8]), req, gate_mode="hadamard",
+               on_step=lambda rec, s: captured.append((rec, s)))
+        assert len(captured) == 13
+        for rec, s in captured:
+            assert verify_step(s, rec.level, rec.step, req) == rec.fidelity
 
     def test_state_must_fit_the_lattice(self):
         req = request(chain(4), [0.6, 0.8], [2])

@@ -120,8 +120,8 @@ class TestGates:
             apply_gate(state, Gate(hadamard_matrix(), 5))
 
     def test_every_site_position(self):
-        # both contraction layouts, and the widening of low-stride sites,
-        # agree with the kron-built matrix
+        # both contraction layouts, at low and high strides, agree with the
+        # kron-built matrix
         state = random_state(2, 9)
         h = hadamard_matrix()
         eye = np.eye(2, dtype=complex)
@@ -135,8 +135,9 @@ class TestGates:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_window_gate_every_position(self, q, k):
         # a q**k x q**k unitary on sites site..site+k-1 at every position: at
-        # site 0, with a low stride 1 < q**site < 64 (widened down to site 0)
-        # and with a high stride q**site >= 64 (strided matmul)
+        # site 0, with a low stride 1 < q**site < 64 (the strides a protocol
+        # block is widened over; here a strided matmul too) and with a high
+        # stride q**site >= 64 (strided matmul)
         high = next(s for s in itertools.count() if q**s >= 64)
         n = high + k
         rng = np.random.default_rng(10 * q + k)
@@ -168,8 +169,8 @@ class TestGates:
 
     @pytest.mark.parametrize("name", ["x", "z", "cnot", "qutrit_shift"])
     def test_monomial_gate_every_position(self, name):
-        # the gather at site 0, at a low stride 1 < q**site < 64 (which a
-        # dense window widens down to site 0) and at a stride of at least 64,
+        # the gather at site 0, at a low stride 1 < q**site < 64 (the strides
+        # a protocol block is widened over) and at a stride of at least 64,
         # against the kron-built matrix of test_window_gate_every_position
         u = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
              "z": np.diag([1, -1]).astype(complex),
@@ -430,7 +431,8 @@ class TestOutBuffer:
         (2, "gather"), (0, "site0"), (3, "widened"), (6, "strided"),
     ])
     def test_apply_gate(self, site, path):
-        # q=2, n=8: 2**site < 64 is widened down to site 0 unless site is 0
+        # q=2, n=8: a gather, and the dense site-0 layout and strided matmul
+        # at a low (2**3 < 64) and a high stride
         u = TestGates._cnot() if path == "gather" else _unitary(4, site)
         gate = Gate(u, site)
         assert (gate._perm is not None) == (path == "gather")
