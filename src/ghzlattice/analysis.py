@@ -132,19 +132,15 @@ def fit_sqrtlog_slope(rs, ts) -> float:
     return float(np.polyfit(np.sqrt(np.log(rs)), np.log(ts), 1)[0])
 
 
-def fitted_exponent(
-    alpha: float, d: int, r_lo: float, r_hi: float, n_points: int = 16, r0: int = 2
-) -> float:
-    """Power-law exponent of the continuous-analytic t(r), fitted on a
-    log-spaced window."""
+def fitted_exponent(alpha: float, d: int, r_lo: float, r_hi: float, n_points: int = 16) -> float:
+    """Power-law exponent of the continuous-analytic t(r) from base side 2,
+    fitted on a log-spaced window."""
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), n_points)
-    ts = [plan(alpha, d, r, r0=r0, mode=CONTINUOUS).t_total for r in rs]
+    ts = [plan(alpha, d, r, r0=2, mode=CONTINUOUS).t_total for r in rs]
     return fit_loglog_slope(rs, ts)
 
 
-def decade_exponents(
-    alpha: float, d: int, first_decade: int, n_decades: int
-) -> list[float]:
+def decade_exponents(alpha: float, d: int, first_decade: int, n_decades: int) -> list[float]:
     """Fitted exponents over successive decades [10^j, 10^(j+1)], 12 points
     each, from base side 2."""
     return [

@@ -8,7 +8,8 @@ gates, controlled increments and diagonal phase evolutions.  Each run of
 consecutive ops within a step whose sites fit one window of at most 64
 amplitudes is then fused into one window block, a dense unitary built by
 running those ops on the identity.  So the stream that runs holds three op
-kinds: window blocks, and the increments and phases too wide for a window.
+kinds: window blocks, and the increments and phases too wide for a window (a
+dense gate too wide to fuse at a low stride runs alone, widened to site 0).
 Fusion never crosses a step, so every step ends on the same state as the
 unfused ops would give.
 
@@ -189,7 +190,7 @@ class _Merge:
 # Ops of the compiled stream.  Each kind has its own inverse: a block carries
 # U and U^dagger and swaps them, an increment flips its direction, and a phase
 # negates its duration.  _compile emits the single-site gates as q x q blocks,
-# and _fuse merges each step's ops into window blocks.
+# and _fuse merges each step's ops into window blocks or widens them alone.
 _BLOCK = "block"  # (_BLOCK, window Gate, its inverse Gate)
 _INC = "increment"  # (_INC, control site, target site, inverse flag)
 _PHASE = "phase"  # (_PHASE, coupling, duration)
@@ -260,8 +261,7 @@ def _shifted(op: tuple, lo: int) -> tuple:
 
 
 def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
-    """The ops on sites lo..hi as one window block, widened down to site 0
-    when its low stride is below _BLOCK_AMPS (see :func:`_widened_site`).
+    """The ops on sites lo..hi as one window block from _widened_site(q, lo).
 
     The kernels run on the identity of a 2k-site state (window sites low,
     k copies above), scaled to norm 1; the result reshaped is U transposed.
@@ -276,12 +276,25 @@ def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
     return (_BLOCK, Gate(u, lo), Gate(u.conj().T, lo))
 
 
+def _lone(q: int, op: tuple) -> tuple:
+    """An op too wide to fuse, in the layout it runs in: a dense gate at a low
+    stride below _BLOCK_AMPS is widened down to site 0 (kron the identity on
+    the low sites), any other op stays as it is."""
+    if op[0] != _BLOCK or op[1]._perm is not None:
+        return op
+    s = op[1].site
+    if _widened_site(q, s) == s:
+        return op
+    eye = np.eye(q**s)
+    return (_BLOCK, Gate(np.kron(op[1].matrix, eye), 0), Gate(np.kron(op[2].matrix, eye), 0))
+
+
 def _fuse(q: int, ops: list) -> list:
     """Merge each run of consecutive ops whose sites fit one window of at most
     _BLOCK_AMPS amplitudes into one block, greedily left to right.
 
     The window counts the low sites :func:`_block` widens it over; an op
-    wider than the cap on its own stays a single op.
+    wider than the cap on its own stays a single op (see :func:`_lone`).
     """
     def fits(a: int, b: int) -> bool:
         return q ** (b - _widened_site(q, a) + 1) <= _BLOCK_AMPS
@@ -300,7 +313,7 @@ def _fuse(q: int, ops: list) -> list:
         if fits(a, b):
             run, lo, hi = [op], a, b
         else:
-            fused.append(op)
+            fused.append(_lone(q, op))
     if run:
         fused.append(_block(q, run, lo, hi))
     return fused
@@ -653,12 +666,8 @@ def decode(
 
 
 def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest) -> float:
-    """Fidelity of the live state against the analytic state after step
-    ``step_id`` of ``level`` (see ``_run`` for how it is read).
-
-    The expected states depend on the geometry alone, so this holds for
-    either gate mode.
-    """
+    """Fidelity of the live state against the analytic state, which depends on
+    the geometry alone, after step ``step_id`` of ``level`` (see ``_run``)."""
     _check_fits(state, req.lattice)
     machine = _get_machine(req, GATE_DFT)
     for (lv, step, *_), terms in zip(machine.steps, machine.terms[1:]):
@@ -695,10 +704,9 @@ def state_transfer(
 
     Encodes from c into the GHZ-like state over the region, then runs the
     inverse encode targeted at c_prime.  Only ``verify`` reads the coefficients
-    off the statevector, to build its targets, and so needs every site other
-    than c in |0>; the applied unitaries never depend on them.  The decode
-    writes into the encoded intermediate, so a transfer holds the input plus
-    two working buffers.
+    off the state, so it needs every site but c in |0>; the applied unitaries
+    never depend on them.  The decode writes into the encoded intermediate, so
+    a transfer holds the input plus two working buffers.
     """
     if lattice is None:
         if plan.lattice is None:

@@ -744,6 +744,30 @@ class TestFusedStream:
                 else:
                     assert np.max(np.abs(got - dense)) <= tol
 
+    @pytest.mark.parametrize("q, side, r0, forced", [(3, 9, 3, [3]), (5, 8, 2, [2, 2])])
+    def test_lone_low_stride_gate_runs_from_site_0(self, q, side, r0, forced):
+        # a dense gate at a low stride q**s < 64 whose window widened to site
+        # 0 spans more than 64 amplitudes fuses with nothing; it runs as its
+        # matrix kron the identity on the s low sites, from site 0
+        lat = chain(side, q)
+        req = request(lat, np.eye(q)[1], forced, r0=r0)
+        machine = protocol._get_machine(req, protocol.GATE_DFT)
+        lone = [op for steps in (machine.steps, machine.inverse_steps)
+                for step in steps for op in step[4]
+                if op[0] == protocol._BLOCK and op[1].matrix.shape[0] > 64]
+        assert lone
+        for op in lone:
+            low = op[1].matrix.shape[0] // q
+            assert op[1].site == 0 and low < 64
+            for gate, other in ((op[1], op[2]), (op[2], op[1])):
+                single = gate.matrix[::low, ::low]
+                assert np.array_equal(gate.matrix, np.kron(single, np.eye(low)))
+                assert np.array_equal(single, other.matrix[::low, ::low].conj().T)
+        state = source_state(lat, 0, np.eye(q)[1])
+        unfused = [op for step in machine._compile() for op in step[4]]
+        fused, _ = encode(state, req, verify=False)
+        assert np.max(np.abs(fused.amps - _replay(state, unfused).amps)) <= 1e-12
+
     def test_bench_tracer_counts_the_compiled_ops(self):
         # bench/tracer.py's Tracer, imported read-only, counts one full-state
         # pass per kernel call; around one cold encode, compile included, that
