@@ -1,0 +1,31 @@
+"""CLI output bytes against the committed golden digests.
+
+A change that moves output bits on purpose regenerates the digests with
+``tests/golden/regen.py`` and says why in CHANGES.md.
+"""
+import importlib.util
+import json
+import os
+
+import pytest
+
+_HERE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+_spec = importlib.util.spec_from_file_location("golden_regen", os.path.join(_HERE, "regen.py"))
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+
+with open(regen.DIGESTS, encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
+
+
+def test_corpus_covers_every_plan_token_and_file():
+    assert len(GOLDEN) == len(regen.PLANS) * len(regen.TOKENS) * 3
+
+
+@pytest.mark.parametrize("name", list(regen.PLANS))
+def test_cli_output_matches_golden_digests(name):
+    got = regen.compute({name: regen.PLANS[name]})
+    want = {k: v for k, v in GOLDEN.items() if k.startswith(f"{name} ")}
+    moved = sorted(k for k in want if got.get(k) != want[k])
+    assert got.keys() == want.keys()
+    assert not moved, f"output bytes moved: {moved}"
