@@ -5,13 +5,16 @@ never on the encoded coefficients, so encoding is exactly linear in the input
 state.  It is compiled once per (lattice, region, c, plan, gate mode) into a
 flat list of steps, one per trace record, each holding its ops: single-site
 gates, controlled increments and diagonal phase evolutions.  Each run of
-consecutive ops within a step whose sites fit one window of at most 64
-amplitudes is then fused into one window block, a dense unitary built by
-running those ops on the identity.  So the stream that runs holds three op
-kinds: window blocks, and the increments and phases too wide for a window (a
-dense gate too wide to fuse at a low stride runs alone, widened to site 0).
-Fusion never crosses a step, so every step ends on the same state as the
-unfused ops would give.
+consecutive ops within a step whose sites fit one window is then fused into
+one window block.  A run of increments and phases only is monomial: it fuses
+up to 256 amplitudes and is held as its gather (a permutation and phases),
+built by running the ops on a k-site scratch state.  A run holding a dense
+single-site gate fuses up to 64 amplitudes into a dense unitary, built by
+running the ops on the identity.  A window starts at site 0 when its low
+stride q**site is below 8.  So the stream that runs holds three op kinds:
+window blocks, and the increments and phases too wide for a window.  Fusion
+never crosses a step, so every step ends on the same state as the unfused ops
+would give.
 
 Encode replays the steps forward.  Decode replays them in reverse order with
 every op inverted (a block by its conjugate transpose, an increment by a
@@ -190,20 +193,24 @@ class _Merge:
 # Ops of the compiled stream.  Each kind has its own inverse: a block carries
 # U and U^dagger and swaps them, an increment flips its direction, and a phase
 # negates its duration.  _compile emits the single-site gates as q x q blocks,
-# and _fuse merges each step's ops into window blocks or widens them alone.
+# and _fuse merges each step's ops into window blocks.
 _BLOCK = "block"  # (_BLOCK, window Gate, its inverse Gate)
 _INC = "increment"  # (_INC, control site, target site, inverse flag)
 _PHASE = "phase"  # (_PHASE, coupling, duration)
 
-#: Largest window a fused block may span, in amplitudes (q**k <= 64).
-_BLOCK_AMPS = 64
+#: Largest window a block holding a dense gate may span, in amplitudes.
+_DENSE_AMPS = 64
+#: Largest window a monomial block (increments and phases only) may span.
+_GATHER_AMPS = 256
+#: A window whose low stride q**site is below this starts at site 0.
+_WIDEN_BELOW = 8
 
 
 def _widened_site(q: int, site: int) -> int:
     """First site of the block window for ops starting at ``site``: site 0
-    when the low stride q**site is below _BLOCK_AMPS, where a strided matmul
+    when the low stride q**site is below _WIDEN_BELOW, where a strided window
     is slow, else ``site`` itself."""
-    return 0 if q**site < _BLOCK_AMPS else site
+    return 0 if q**site < _WIDEN_BELOW else site
 
 
 def _inverse(op: tuple) -> tuple:
@@ -234,9 +241,10 @@ def _apply(state: StateVector, op: tuple, out: np.ndarray | None = None,
 
 
 # The same kernels, bound once for building blocks at compile.  There they act
-# on a scratch state of at most 64**2 amplitudes, never on the simulated state,
-# so a rebinding of the stream's kernel names (a full-state pass counter) does
-# not reach them.
+# on a scratch state, never on the simulated state: at most 64**2 amplitudes
+# for a dense block (the identity on 2k sites), at most 256 for a monomial
+# block (k sites).  So a rebinding of the stream's kernel names (a full-state
+# pass counter) does not reach them.
 _SCRATCH_KERNELS = (apply_gate, apply_controlled_increment, evolve_phase)
 
 
@@ -260,60 +268,87 @@ def _shifted(op: tuple, lo: int) -> tuple:
     return (_PHASE, coupling, op[2])
 
 
+def _scratch(q: int, n: int, amps: np.ndarray, ops: list) -> np.ndarray:
+    state = StateVector(q, n, amps)
+    for op in ops:
+        state = _apply(state, op, kernels=_SCRATCH_KERNELS)
+    return state.amps
+
+
+def _unitary(q: int, k: int, ops: list) -> np.ndarray:
+    """The q**k x q**k matrix of ops on sites 0..k-1: the kernels run on the
+    identity of a 2k-site state (window sites low, k copies above), scaled to
+    norm 1; the result reshaped is U transposed."""
+    dim = q**k
+    amps = _scratch(q, 2 * k, np.eye(dim).reshape(-1) / math.sqrt(dim), ops)
+    return np.ascontiguousarray(amps.reshape(dim, dim).T) * math.sqrt(dim)
+
+
+def _gather(q: int, k: int, ops: list) -> tuple:
+    """``(perm, phases)`` of a monomial run of ops on sites 0..k-1, bit for
+    bit what ``_monomial`` reads off ``_unitary(q, k, ops)``.
+
+    The increments alone carry an index-coded k-site state, copying each
+    amplitude exactly, so row i's column is the index whose code lands at i.
+    All the ops carry the uniform state, whose amplitude at row i meets the
+    same multiplications as the nonzero of the identity's matching column.
+    """
+    dim = q**k
+    code = np.arange(1.0, dim + 1)
+    code /= np.linalg.norm(code)
+    moved = _scratch(q, k, code, [op for op in ops if op[0] == _INC])
+    perm = np.searchsorted(code, moved.real)
+    phases = _scratch(q, k, np.full(dim, 1 / math.sqrt(dim)), ops) * math.sqrt(dim)
+    return perm, None if np.all(phases == 1) else phases
+
+
 def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
     """The ops on sites lo..hi as one window block from _widened_site(q, lo).
 
-    The kernels run on the identity of a 2k-site state (window sites low,
-    k copies above), scaled to norm 1; the result reshaped is U transposed.
+    A run holding a dense gate is built as its matrix by :func:`_unitary`.  A
+    monomial run (increments and phases only) is built as its gather by
+    :func:`_gather` and never holds a matrix; its inverse gathers through
+    ``argsort(perm)``.
     """
     lo = _widened_site(q, lo)
     k = hi - lo + 1
-    dim = q**k
-    state = StateVector(q, 2 * k, np.eye(dim).reshape(-1) / math.sqrt(dim))
-    for op in ops:
-        state = _apply(state, _shifted(op, lo), kernels=_SCRATCH_KERNELS)
-    u = np.ascontiguousarray(state.amps.reshape(dim, dim).T) * math.sqrt(dim)
-    return (_BLOCK, Gate(u, lo), Gate(u.conj().T, lo))
-
-
-def _lone(q: int, op: tuple) -> tuple:
-    """An op too wide to fuse, in the layout it runs in: a dense gate at a low
-    stride below _BLOCK_AMPS is widened down to site 0 (kron the identity on
-    the low sites), any other op stays as it is."""
-    if op[0] != _BLOCK or op[1]._perm is not None:
-        return op
-    s = op[1].site
-    if _widened_site(q, s) == s:
-        return op
-    eye = np.eye(q**s)
-    return (_BLOCK, Gate(np.kron(op[1].matrix, eye), 0), Gate(np.kron(op[2].matrix, eye), 0))
+    ops = [_shifted(op, lo) for op in ops]
+    if any(op[0] == _BLOCK for op in ops):
+        u = _unitary(q, k, ops)
+        return (_BLOCK, Gate(u, lo), Gate(u.conj().T, lo))
+    perm, phases = _gather(q, k, ops)
+    inv = np.argsort(perm)
+    return (_BLOCK, Gate(None, lo, _perm=perm, _phases=phases),
+            Gate(None, lo, _perm=inv, _phases=None if phases is None else phases.conj()[inv]))
 
 
 def _fuse(q: int, ops: list) -> list:
-    """Merge each run of consecutive ops whose sites fit one window of at most
-    _BLOCK_AMPS amplitudes into one block, greedily left to right.
+    """Merge each run of consecutive ops whose sites fit one window into one
+    block, greedily left to right.
 
-    The window counts the low sites :func:`_block` widens it over; an op
-    wider than the cap on its own stays a single op (see :func:`_lone`).
+    A monomial run spans at most _GATHER_AMPS amplitudes; a run holding a
+    dense gate at most _DENSE_AMPS.  The window counts the low sites
+    :func:`_block` widens it over; an op wider than its cap on its own stays
+    a single op.
     """
-    def fits(a: int, b: int) -> bool:
-        return q ** (b - _widened_site(q, a) + 1) <= _BLOCK_AMPS
+    def fits(a: int, b: int, dense: bool) -> bool:
+        return q ** (b - _widened_site(q, a) + 1) <= (_DENSE_AMPS if dense else _GATHER_AMPS)
 
-    fused, run, lo, hi = [], [], 0, 0
+    fused, run, lo, hi, dense = [], [], 0, 0, False
     for op in ops:
         sites = _op_sites(op)
-        a, b = min(sites), max(sites)
-        if run and fits(min(lo, a), max(hi, b)):
+        a, b, d = min(sites), max(sites), op[0] == _BLOCK
+        if run and fits(min(lo, a), max(hi, b), dense or d):
             run.append(op)
-            lo, hi = min(lo, a), max(hi, b)
+            lo, hi, dense = min(lo, a), max(hi, b), dense or d
             continue
         if run:
             fused.append(_block(q, run, lo, hi))
             run = []
-        if fits(a, b):
-            run, lo, hi = [op], a, b
+        if fits(a, b, d):
+            run, lo, hi, dense = [op], a, b, d
         else:
-            fused.append(_lone(q, op))
+            fused.append(op)
     if run:
         fused.append(_block(q, run, lo, hi))
     return fused

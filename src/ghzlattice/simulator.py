@@ -14,13 +14,14 @@ buffers, about 3x the state in bytes.  Every operation validates that the
 output stays normalized to 1e-10, which is the module's running invariant.
 
 A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
-``site .. site+k-1``.  :func:`apply_gate` applies a monomial gate (exactly one
-nonzero per row: increments, shifts, phases) as one gather along the window
-axis of the (hi, q**k, lo) view with lo = q**site, times its phases unless
-they are all exactly 1.  Any other gate takes one of two dense layouts: a
-window at site 0 right-multiplies the (hi, q**k) view, any other window is a
-batched matmul over the (hi, q**k, lo) view.  The layout follows from the gate
-alone; apply_gate never rewrites a gate.
+``site .. site+k-1``.  A monomial gate (exactly one nonzero per row:
+increments, shifts, phases) is held as its gather, a permutation and phases,
+and may hold no matrix at all.  :func:`apply_gate` applies it as one gather
+along the window axis of the (hi, q**k, lo) view with lo = q**site, times its
+phases unless they are all exactly 1.  Any other gate takes one of two dense
+layouts: a window at site 0 right-multiplies the (hi, q**k) view, any other
+window is a batched matmul over the (hi, q**k, lo) view.  The layout follows
+from the gate alone; apply_gate never rewrites a gate.
 
 The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
@@ -150,24 +151,39 @@ class Gate:
     A q x q matrix is a single-site gate.  The window's own sites are
     little-endian like the state's: site ``site`` is the least significant
     digit of the matrix index.
+
+    A monomial gate (exactly one nonzero per row) also holds its gather:
+    ``_perm``, the column of each row's nonzero, and ``_phases``, those
+    entries unless all are exactly 1.  Its unitarity check is O(q**k): perm
+    is a bijection and every |phase| is 1; any other gate's is G^dagger G = I.
+    ``Gate(None, site, _perm=..., _phases=...)`` is a monomial gate given by
+    its gather alone, with no matrix.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     site: int
-    # set by _monomial: for a monomial matrix, the column of each row's
-    # nonzero and, unless all are exactly 1, those entries; else None
-    _perm: np.ndarray | None = field(init=False, repr=False, default=None)
-    _phases: np.ndarray | None = field(init=False, repr=False, default=None)
+    _perm: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    _phases: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise PreconditionError(f"gate matrix must be square, got shape {mat.shape}")
-        dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+        if self.matrix is None:
+            if self._perm is None:
+                raise PreconditionError("a gate needs a matrix or a gather")
+            perm, phases = np.asarray(self._perm), self._phases
+        else:
+            mat = np.asarray(self.matrix, dtype=np.complex128)
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise PreconditionError(f"gate matrix must be square, got shape {mat.shape}")
+            object.__setattr__(self, "matrix", mat)
+            perm, phases = _monomial(mat)
+        if perm is None:
+            dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
+        elif not np.array_equal(np.sort(perm), np.arange(perm.size)):
+            dev = 1.0  # two rows share a column, so another column is empty
+        else:  # the diagonal of G^dagger G is |phase|**2, the rest is 0
+            dev = 0.0 if phases is None else np.max(np.abs((phases.conj() * phases).real - 1))
         if not dev <= _UNITARY_TOL:
             raise PreconditionError(f"gate is not unitary: max |G+G - I| = {dev:.3e}")
-        object.__setattr__(self, "matrix", mat)
-        perm, phases = _monomial(mat)
         object.__setattr__(self, "_perm", perm)
         object.__setattr__(self, "_phases", phases)
 
@@ -238,10 +254,11 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) ->
     """
     q, n, s = state.q, state.n, gate.site
     mat = gate.matrix
-    k = round(math.log(mat.shape[0], q))
-    if k < 1 or q**k != mat.shape[0]:
+    dim = (mat if gate._perm is None else gate._perm).shape[0]
+    k = round(math.log(dim, q))
+    if k < 1 or q**k != dim:
         raise PreconditionError(
-            f"gate dimension {mat.shape[0]} is not a power of the state's q={q}"
+            f"gate dimension {dim} is not a power of the state's q={q}"
         )
     if not (0 <= s and s + k <= n):
         raise OutOfBoundsError(f"gate sites {s}..{s + k - 1} outside 0..{n - 1}")

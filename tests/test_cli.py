@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import ghzlattice.protocol as protocol
 import ghzlattice.simulator as simulator
 from ghzlattice.cli import (
     EXIT_INTERNAL,
@@ -157,8 +158,20 @@ class TestTransferCommand:
         # monomial gates are gathered or multiplied densely
         plan_args = ["--alpha", "2.5", "--d", "1", "--r", "18", "--r0", "2",
                      "--force-m", "3,3"]
-        detect = simulator._monomial
+        make = protocol.Gate
         found = []
+
+        def recorded(*args, **kwargs):
+            gate = make(*args, **kwargs)
+            found.append((gate._perm, gate._phases))
+            return gate
+
+        def densified(matrix, site, _perm=None, _phases=None):
+            # a block given by its gather, held as its dense matrix instead
+            if matrix is None:
+                matrix = np.zeros((_perm.size,) * 2, dtype=np.complex128)
+                matrix[np.arange(_perm.size), _perm] = 1 if _phases is None else _phases
+            return make(matrix, site)
 
         def session(tag):
             files = {}
@@ -174,11 +187,11 @@ class TestTransferCommand:
                     files[token, name] = (tmp_path / f"{tag}-{token}-{name}").read_bytes()
             return files
 
-        monkeypatch.setattr(simulator, "_monomial",
-                            lambda mat: found.append(detect(mat)) or found[-1])
+        monkeypatch.setattr(protocol, "Gate", recorded)
         gathered = session("gather")
         assert any(perm is not None for perm, _phases in found)
         monkeypatch.setattr(simulator, "_monomial", lambda mat: (None, None))
+        monkeypatch.setattr(protocol, "Gate", densified)
         assert session("dense") == gathered
 
     def test_target_out_of_bounds(self):

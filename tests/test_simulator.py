@@ -189,6 +189,8 @@ class TestGates:
             full = reduce(np.kron, [np.eye(q ** (n - site - k)), u, np.eye(q**site)])
             got = apply_gate(state, gate)
             assert np.max(np.abs(got.amps - full @ state.amps)) < 1e-12
+            gather = Gate(None, site, _perm=gate._perm, _phases=gate._phases)
+            assert np.array_equal(apply_gate(state, gather).amps, got.amps)
             strides.add("site0" if site == 0 else "low" if q**site < 64 else "high")
         assert strides == {"site0", "low", "high"}
 
@@ -214,6 +216,21 @@ class TestGates:
         state = random_state(2, 6)
         back = apply_gate(apply_gate(state, gate), inverse)
         assert np.max(np.abs(back.amps - state.amps)) < 1e-15
+
+    @pytest.mark.parametrize("u", [
+        np.array([[1, 0], [1, 0]], dtype=complex),
+        np.diag([1, (1 + 1e-9) * np.exp(0.3j)]),
+    ], ids=["two-rows-one-column", "phase-modulus-1+1e-9"])
+    def test_monomial_unitarity_check(self, u):
+        # the O(q**k) check on the gather refuses what G^dagger G = I refuses,
+        # given the matrix or the gather alone
+        assert np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12
+        perm, phases = simulator._monomial(u)
+        assert perm is not None
+        with pytest.raises(PreconditionError, match="not unitary"):
+            Gate(u, 0)
+        with pytest.raises(PreconditionError, match="not unitary"):
+            Gate(None, 0, _perm=perm, _phases=phases)
 
     def test_window_must_fit_the_state(self):
         with pytest.raises(OutOfBoundsError):
