@@ -305,17 +305,18 @@ def _gather(q: int, k: int, ops: list) -> tuple:
 def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
     """The ops on sites lo..hi as one window block from _widened_site(q, lo).
 
-    A run holding a dense gate is built as its matrix by :func:`_unitary`.  A
-    monomial run (increments and phases only) is built as its gather by
-    :func:`_gather` and never holds a matrix; its inverse gathers through
-    ``argsort(perm)``.
+    A run holding a dense gate is built as its matrix by :func:`_unitary`;
+    its inverse is the conjugate transpose, or for a real matrix the
+    transpose, a view that costs no memory.  A monomial run (increments and
+    phases only) is built as its gather by :func:`_gather` and never holds a
+    matrix; its inverse gathers through ``argsort(perm)``.
     """
     lo = _widened_site(q, lo)
     k = hi - lo + 1
     ops = [_shifted(op, lo) for op in ops]
     if any(op[0] == _BLOCK for op in ops):
         u = _unitary(q, k, ops)
-        return (_BLOCK, Gate(u, lo), Gate(u.conj().T, lo))
+        return (_BLOCK, Gate(u, lo), Gate(u.conj().T if np.any(u.imag) else u.T, lo))
     perm, phases = _gather(q, k, ops)
     inv = np.argsort(perm)
     return (_BLOCK, Gate(None, lo, _perm=perm, _phases=phases),

@@ -18,10 +18,15 @@ A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
 increments, shifts, phases) is held as its gather, a permutation and phases,
 and may hold no matrix at all.  :func:`apply_gate` applies it as one gather
 along the window axis of the (hi, q**k, lo) view with lo = q**site, times its
-phases unless they are all exactly 1.  Any other gate takes one of two dense
-layouts: a window at site 0 right-multiplies the (hi, q**k) view, any other
-window is a batched matmul over the (hi, q**k, lo) view.  The layout follows
-from the gate alone; apply_gate never rewrites a gate.
+phases unless they are all exactly 1.  Any other gate is dense: a window at
+site 0 right-multiplies the (hi, q**k) view, any other window is a batched
+matmul over the (hi, q**k, lo) view.  A real dense window at site > 0 (every
+qubit block without a merge phase: Hadamards and CNOTs) multiplies real and
+imaginary parts alike, so where lo % 4 == 0 it runs as one float64 matmul over
+the (hi, q**k, 2*lo) view of the (re, im) pairs: half the multiplies.  On
+OpenBLAS 0.3.31 that gives the complex product's bits; at other strides the
+two round apart, so those stay complex.  The layout follows from the gate and
+the stride; apply_gate never rewrites a gate.
 
 The merge evolution (:func:`evolve_phase`) applies the diagonal coupling in
 closed form, with no integrator: a basis state acquires phase
@@ -157,13 +162,16 @@ class Gate:
     entries unless all are exactly 1.  Its unitarity check is O(q**k): perm
     is a bijection and every |phase| is 1; any other gate's is G^dagger G = I.
     ``Gate(None, site, _perm=..., _phases=...)`` is a monomial gate given by
-    its gather alone, with no matrix.
+    its gather alone, with no matrix.  Any other gate at site > 0 whose matrix
+    has no nonzero imaginary part (-0.0 counts as zero) also holds ``_real``,
+    a C-contiguous float64 copy of it for :func:`apply_gate`'s real layout.
     """
 
     matrix: np.ndarray | None
     site: int
     _perm: np.ndarray | None = field(default=None, repr=False, kw_only=True)
     _phases: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    _real: np.ndarray | None = field(default=None, repr=False, init=False)
 
     def __post_init__(self):
         if self.matrix is None:
@@ -186,6 +194,8 @@ class Gate:
             raise PreconditionError(f"gate is not unitary: max |G+G - I| = {dev:.3e}")
         object.__setattr__(self, "_perm", perm)
         object.__setattr__(self, "_phases", phases)
+        if perm is None and self.site > 0 and not np.any(mat.imag):
+            object.__setattr__(self, "_real", np.ascontiguousarray(mat.real))
 
 
 def _monomial(mat: np.ndarray) -> tuple:
@@ -246,11 +256,13 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) ->
     """Apply a window unitary to its k consecutive sites.
 
     A monomial gate is one gather along axis 1 of the (hi, q**k, lo) view,
-    then an in-place multiply by its phases if it has any.  Other gates take
-    two dense layouts: a window starting at site 0 is a right-multiply of the
-    (hi, q**k) view; any other window is a batched matmul over the
-    (hi, q**k, lo) view, lo = q**site.  The result goes into ``out`` if given
-    (see the module docstring).
+    then an in-place multiply by its phases if it has any.  Other gates are
+    dense: a window starting at site 0 is a right-multiply of the (hi, q**k)
+    view; any other window is a batched matmul over the (hi, q**k, lo) view,
+    lo = q**site.  A gate holding ``_real`` on a C-contiguous state at a
+    stride lo % 4 == 0 runs that matmul in float64 over the (hi, q**k, 2*lo)
+    view of the (re, im) pairs.  The result goes into ``out`` if given (see
+    the module docstring).
     """
     q, n, s = state.q, state.n, gate.site
     mat = gate.matrix
@@ -271,6 +283,12 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) ->
             res *= gate._phases[:, None]
     elif s == 0:
         np.matmul(psi.reshape(shape[:2]), mat.T, out=res.reshape(shape[:2]))
+    elif gate._real is not None and shape[2] % 4 == 0 and psi.flags.c_contiguous:
+        # a real matrix acts on re and im alike: one float64 matmul over the
+        # (hi, q**k, 2*lo) view of the (re, im) pairs
+        floats = shape[:2] + (2 * shape[2],)
+        np.matmul(gate._real, psi.view(np.float64).reshape(floats),
+                  out=res.view(np.float64).reshape(floats))
     else:
         np.matmul(mat, psi, out=res)
     return StateVector(q, n, res.reshape(-1))

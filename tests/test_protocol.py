@@ -735,6 +735,26 @@ class TestFusedStream:
         _lat, _req, machine = _fused_machine(name)
         assert sum(len(step[4]) for step in machine.steps) <= FUSED_CASES[name][-1]
 
+    def test_real_blocks_share_their_inverse(self):
+        # a transfer 0 -> 19 on chain20 runs 35 dense blocks; the 14 real ones
+        # at a site > 0 hold the float64 copy apply_gate multiplies (re, im)
+        # pairs by.  A real block's inverse is its transpose, a view of the
+        # same matrix; a complex block's inverse is a conjugated copy
+        n = FUSED_CASES["chain20"][1]
+        steps = (_fused_machine("chain20")[2].steps
+                 + _fused_machine("chain20", n - 1)[2].inverse_steps)
+        blocks = [op[1:] for step in steps for op in step[4]
+                  if op[0] == protocol._BLOCK and op[1].matrix is not None]
+        assert len(blocks) == 35
+        strided_real = 0
+        for gate, inverse in blocks:
+            real = not np.any(gate.matrix.imag)
+            assert np.shares_memory(gate.matrix, inverse.matrix) == real
+            for g in (gate, inverse):
+                assert (g._real is not None) == (real and g.site > 0)
+            strided_real += real and gate.site > 0
+        assert strided_real == 14
+
     @pytest.mark.parametrize("name", list(FUSED_CASES))
     def test_monomial_blocks_gather_exactly(self, name):
         # apply_gate gathers every monomial block.  Against the dense matmul a

@@ -135,9 +135,9 @@ class TestGates:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_window_gate_every_position(self, q, k):
         # a q**k x q**k unitary on sites site..site+k-1 at every position: at
-        # site 0, with a low stride 1 < q**site < 64 (the strides a protocol
-        # block is widened over; here a strided matmul too) and with a high
-        # stride q**site >= 64 (strided matmul)
+        # site 0, with a low stride 1 < q**site < 64 (a strided matmul; a
+        # protocol block is widened to site 0 only below a stride of 8) and
+        # with a high stride q**site >= 64 (strided matmul)
         high = next(s for s in itertools.count() if q**s >= 64)
         n = high + k
         rng = np.random.default_rng(10 * q + k)
@@ -169,9 +169,10 @@ class TestGates:
 
     @pytest.mark.parametrize("name", ["x", "z", "cnot", "qutrit_shift"])
     def test_monomial_gate_every_position(self, name):
-        # the gather at site 0, at a low stride 1 < q**site < 64 (the strides
-        # a protocol block is widened over) and at a stride of at least 64,
-        # against the kron-built matrix of test_window_gate_every_position
+        # the gather at site 0, at a low stride 1 < q**site < 64 (a protocol
+        # block is widened to site 0 only below a stride of 8) and at a stride
+        # of at least 64, against the kron-built matrix of
+        # test_window_gate_every_position
         u = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
              "z": np.diag([1, -1]).astype(complex),
              "cnot": self._cnot(),
@@ -193,6 +194,63 @@ class TestGates:
             assert np.array_equal(apply_gate(state, gather).amps, got.amps)
             strides.add("site0" if site == 0 else "low" if q**site < 64 else "high")
         assert strides == {"site0", "low", "high"}
+
+    @pytest.mark.parametrize("q,u", [
+        (2, np.kron(hadamard_matrix(), hadamard_matrix())),
+        (2, np.linalg.qr(np.random.default_rng(64).standard_normal((64, 64)))[0]),
+        (3, np.linalg.qr(np.random.default_rng(27).standard_normal((27, 27)))[0]),
+    ], ids=["hadamard-pair", "orthogonal-q2-k6", "orthogonal-q3-k3"])
+    def test_real_gate_every_position(self, q, u, monkeypatch):
+        # a real window at every site > 0 gives, bit for bit, the complex
+        # matmul over the (hi, q**k, lo) view.  It runs as a float64 matmul
+        # at the strides lo % 4 == 0 and complex at the others, where the two
+        # round apart on some BLAS (for K >= 16 at lo = 2, 9 or 81 on OpenBLAS
+        # 0.3.31), so the float path is seen through a wrapped np.matmul
+        dim = u.shape[0]
+        k = round(math.log(dim, q))
+        n = next(s for s in itertools.count() if q**s >= 64) + k
+        state = random_state(q, n, np.random.default_rng(dim))
+        matmul, floats = np.matmul, []
+
+        def spied(a, b, **kwargs):
+            floats.append(a.dtype == np.float64)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spied)
+        for site in range(1, n - k + 1):
+            gate = Gate(u, site)
+            assert gate._perm is None and np.array_equal(gate._real, u.real)
+            floats.clear()
+            got = apply_gate(state, gate).amps
+            assert floats == [q**site % 4 == 0]
+            want = matmul(gate.matrix, state.amps.reshape(-1, dim, q**site))
+            assert np.array_equal(got, want.reshape(-1))
+
+    def test_real_copy_only_for_exactly_real_strided_gates(self):
+        u = np.kron(hadamard_matrix(), hadamard_matrix())
+        assert Gate(u, 0)._real is None  # site 0 keeps its right-multiply
+        assert Gate(np.kron(np.eye(2), [[0, 1], [1, 0]]), 3)._real is None  # a gather
+        tiny = u.copy()
+        tiny[1, 2] += 1e-300j
+        assert Gate(tiny, 3)._real is None
+        negzero = u.copy()
+        negzero.imag = -0.0
+        assert np.all(np.signbit(negzero.imag))
+        assert np.array_equal(Gate(negzero, 3)._real, u.real)
+
+    def test_real_gate_on_a_strided_state(self):
+        # a state over a strided view has no float64 view of its (re, im)
+        # pairs, so a real gate takes the complex matmul there
+        buf = np.zeros(128, dtype=np.complex128)
+        buf[::2] = random_state(2, 6).amps
+        state = StateVector(2, 6, buf[::2])
+        assert not state.amps.flags.c_contiguous
+        gate = Gate(np.kron(hadamard_matrix(), hadamard_matrix()), 3)
+        assert gate._real is not None
+        got = apply_gate(state, gate).amps
+        want = np.matmul(gate.matrix, state.amps.reshape(-1, 4, 8)).reshape(-1)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, apply_gate(state.copy(), gate).amps)
 
     def test_near_monomial_gate_stays_dense(self):
         # one off-support entry of 1e-14 is a nonzero: no tolerance applies
@@ -445,14 +503,17 @@ class TestOutBuffer:
         assert np.array_equal(state.amps, before)
 
     @pytest.mark.parametrize("site,path", [
-        (2, "gather"), (0, "site0"), (3, "widened"), (6, "strided"),
+        (2, "gather"), (0, "site0"), (3, "widened"), (6, "strided"), (4, "real"),
     ])
     def test_apply_gate(self, site, path):
-        # q=2, n=8: a gather, and the dense site-0 layout and strided matmul
-        # at a low (2**3 < 64) and a high stride
-        u = TestGates._cnot() if path == "gather" else _unitary(4, site)
-        gate = Gate(u, site)
+        # q=2, n=8: a gather, the dense site-0 layout, the strided matmul at a
+        # low stride (2**3, the lowest a protocol block starts at without
+        # widening to site 0) and a high one, and a real gate's float64 matmul
+        u = {"gather": TestGates._cnot(),
+             "real": np.kron(hadamard_matrix(), hadamard_matrix())}.get(path)
+        gate = Gate(_unitary(4, site) if u is None else u, site)
         assert (gate._perm is not None) == (path == "gather")
+        assert (gate._real is not None) == (path == "real")
         self.check(random_state(2, 8), apply_gate, gate)
 
     @pytest.mark.parametrize("q", [2, 3])
