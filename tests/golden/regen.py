@@ -1,10 +1,11 @@
 """Golden CLI output digests: compute them, or rewrite ``digests.json``.
 
-Each plan runs CLI ``simulate`` (JSON and ``--dump-amps`` CSV) and ``transfer``
-(JSON, from site 0 to the last site) for three ``random:`` tokens, and each
-output file is recorded as the SHA-256 of its bytes.  A change that moves
-output bits on purpose reruns this script and says why the listed digests
-moved:
+Each plan runs CLI ``simulate`` (JSON, CSV and the ``--dump-amps`` CSV) and
+``transfer`` (JSON and CSV, from site 0 to the last site) for three ``random:``
+tokens.  Each table command (``plan``, ``sweep``, ``bounds``) runs once as JSON
+and once as CSV.  Every output file is recorded as the SHA-256 of its bytes.  A
+change that moves output bits on purpose reruns this script and says why the
+listed digests moved:
 
     PYTHONPATH=src python tests/golden/regen.py
 """
@@ -40,6 +41,22 @@ PLANS = {
                        "--force-m", "2,2"], 8),
 }
 TOKENS = ("random:11", "random:123456", "random:2024")
+PLAN_FILES = ("simulate.json", "simulate.csv", "amps.csv", "transfer.json", "transfer.csv")
+
+# name -> argv of a command that prints a plan or a row table; the sweep and
+# bounds values are the benchmark's cold CLI session with its alphas fixed
+TABLES = {
+    "plan-integer": ["plan", "--alpha", "2.5", "--d", "1", "--r", "20", "--r0", "2"],
+    "plan-continuous": ["plan", "--alpha", "1.5", "--d", "1", "--r", "1000.5",
+                        "--mode", "continuous-analytic"],
+    "plan-stretched-r0-2981": ["plan", "--alpha", "2.0", "--d", "1", "--r", "208670",
+                               "--r0", "2981"],
+    "sweep": ["sweep", "--alphas", "1.5,2.0,2.5", "--d", "1", "--mode", "auto",
+              "--r-values", ",".join(str(2**k) for k in range(2, 31))],
+    "bounds": ["bounds", "--alpha", "2.5", "--d", "1",
+               "--n-values", ",".join(f"1e{k}" for k in range(2, 13))],
+}
+FORMATS = ("json", "csv")
 
 
 def _cli(argv: list) -> None:
@@ -50,21 +67,40 @@ def _cli(argv: list) -> None:
         raise RuntimeError(f"{' '.join(argv)} exited {code}: {err.getvalue()}")
 
 
+def _sha256(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def compute(plans=PLANS) -> dict:
     """{"<plan> <token> <file>": sha256 hex} for every plan and token."""
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (flags, n_sites) in plans.items():
             for token in TOKENS:
-                files = {f: os.path.join(tmp, f)
-                         for f in ("simulate.json", "amps.csv", "transfer.json")}
-                _cli(["simulate", *flags, "--coeff", token,
-                      "--dump-amps", files["amps.csv"], "--out", files["simulate.json"]])
-                _cli(["transfer", *flags, "--coeff", token, "--source", "0",
-                      "--target", str(n_sites - 1), "--out", files["transfer.json"]])
+                files = {f: os.path.join(tmp, f) for f in PLAN_FILES}
+                dump = ["--dump-amps", files["amps.csv"]]
+                for fmt in FORMATS:
+                    _cli(["simulate", *flags, "--coeff", token, "--format", fmt,
+                          *(dump if fmt == "json" else []),
+                          "--out", files[f"simulate.{fmt}"]])
+                    _cli(["transfer", *flags, "--coeff", token, "--source", "0",
+                          "--target", str(n_sites - 1), "--format", fmt,
+                          "--out", files[f"transfer.{fmt}"]])
                 for f, path in files.items():
-                    with open(path, "rb") as fh:
-                        digests[f"{name} {token} {f}"] = hashlib.sha256(fh.read()).hexdigest()
+                    digests[f"{name} {token} {f}"] = _sha256(path)
+    return digests
+
+
+def compute_tables(tables=TABLES) -> dict:
+    """{"<table>.<format>": sha256 hex} for every table command and format."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in tables.items():
+            for fmt in FORMATS:
+                path = os.path.join(tmp, f"{name}.{fmt}")
+                _cli([*argv, "--format", fmt, "--out", path])
+                digests[f"{name}.{fmt}"] = _sha256(path)
     return digests
 
 
@@ -73,7 +109,7 @@ def main() -> int:
     if os.path.exists(DIGESTS):
         with open(DIGESTS, encoding="utf-8") as fh:
             old = json.load(fh)
-    new = compute()
+    new = {**compute(), **compute_tables()}
     with open(DIGESTS, "w", encoding="utf-8") as fh:
         json.dump(new, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -19,7 +19,8 @@ with open(regen.DIGESTS, encoding="utf-8") as _fh:
 
 
 def test_corpus_covers_every_plan_token_and_file():
-    assert len(GOLDEN) == len(regen.PLANS) * len(regen.TOKENS) * 3
+    tables = len(regen.TABLES) * len(regen.FORMATS)
+    assert len(GOLDEN) == len(regen.PLANS) * len(regen.TOKENS) * len(regen.PLAN_FILES) + tables
 
 
 @pytest.mark.parametrize("name", list(regen.PLANS))
@@ -28,4 +29,12 @@ def test_cli_output_matches_golden_digests(name):
     want = {k: v for k, v in GOLDEN.items() if k.startswith(f"{name} ")}
     moved = sorted(k for k in want if got.get(k) != want[k])
     assert got.keys() == want.keys()
+    assert not moved, f"output bytes moved: {moved}"
+
+
+def test_table_output_matches_golden_digests():
+    got = regen.compute_tables()
+    want = {k: v for k, v in GOLDEN.items() if k in got}
+    moved = sorted(k for k in got if want.get(k) != got[k])
+    assert len(want) == len(regen.TABLES) * len(regen.FORMATS)
     assert not moved, f"output bytes moved: {moved}"
