@@ -54,17 +54,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _floats(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _list(conv):
+    """Converter of a comma-separated list of ``conv`` values."""
+    return lambda text: [conv(x) for x in text.split(",") if x.strip()]
 
 
 def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
     if str(text).lower() in ("1", "true", "yes", "on"):
         return True
     if str(text).lower() in ("0", "false", "no", "off"):
@@ -72,79 +67,50 @@ def _bool(text) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# name -> (converter, default, help); shared across CLI flags and config keys
-_COMMON = {
-    "format": (str, "json", "output format: json or csv"),
-    "out": (str, None, "output path (default stdout; relative paths use $GHZLATTICE_OUTDIR)"),
-    "config": (str, None, "key=value config file merged under explicit flags"),
-}
-_OPTIONS = {
-    "plan": {
-        **_COMMON,
-        "alpha": (float, None, "interaction exponent (required)"),
-        "d": (int, 1, "lattice dimension"),
-        "r": (float, None, "target side length (required)"),
-        "r0": (int, 2, "base-case side length"),
-        "q": (int, 2, "levels per site"),
-        "k-alpha": (float, None, "envelope prefactor (default: regime minimum)"),
-        "t-base": (float, None, "base-case time (default: envelope at r0)"),
-        "force-m": (_ints, None, "comma-separated merge factors, base outward"),
-        "mode": (str, "integer-exact", "integer-exact or continuous-analytic"),
-        "kappa-factor": (float, 4.0, "polylog kappa numerator factor, in (3, 4]"),
-    },
-    "simulate": {
-        **_COMMON,
-        "alpha": (float, None, "interaction exponent (required)"),
-        "d": (int, 1, "lattice dimension"),
-        "r": (int, None, "lattice side length (required)"),
-        "r0": (int, 2, "base-case side length"),
-        "q": (int, 2, "levels per site"),
-        "force-m": (_ints, None, "comma-separated merge factors, base outward"),
-        "coeff": (str, None, "q comma-separated amplitudes, or random:SEED (required)"),
-        "c-site": (int, 0, "flat index of the source site"),
-        "gate-mode": (str, "dft", "single-site rotation: dft or hadamard (q=2)"),
-        "verify": (_bool, True, "record per-step fidelities against expected states"),
-        "dump-amps": (str, None, "also write an amplitude CSV to this path"),
-        "dump-threshold": (float, 1e-12, "amplitude magnitude cutoff for the dump"),
-        "max-amps": (int, simulator.DEFAULT_AMP_CAP, "statevector amplitude cap"),
-    },
-    "transfer": {
-        **_COMMON,
-        "alpha": (float, None, "interaction exponent (required)"),
-        "d": (int, 1, "lattice dimension"),
-        "r": (int, None, "lattice side length (required)"),
-        "r0": (int, 2, "base-case side length"),
-        "q": (int, 2, "levels per site"),
-        "force-m": (_ints, None, "comma-separated merge factors, base outward"),
-        "coeff": (str, None, "q comma-separated amplitudes, or random:SEED (required)"),
-        "source": (int, 0, "flat index of the source site"),
-        "target": (int, None, "flat index of the destination site (required)"),
-        "gate-mode": (str, "dft", "single-site rotation: dft or hadamard (q=2)"),
-        "verify": (_bool, True, "record per-step fidelities against expected states"),
-        "max-amps": (int, simulator.DEFAULT_AMP_CAP, "statevector amplitude cap"),
-    },
-    "sweep": {
-        **_COMMON,
-        "alphas": (_floats, None, "comma-separated alpha values (required)"),
-        "d": (int, 1, "lattice dimension"),
-        "r-values": (_floats, None, "comma-separated side lengths (required)"),
-        "r0": (int, 2, "base-case side length"),
-        "mode": (str, "auto", "auto, integer-exact, or continuous-analytic"),
-    },
-    "bounds": {
-        **_COMMON,
-        "alpha": (float, None, "interaction exponent (required)"),
-        "d": (int, 1, "lattice dimension"),
-        "n-values": (_floats, None, "comma-separated site counts (required)"),
-    },
-}
-_REQUIRED = {
-    "plan": ("alpha", "r"),
-    "simulate": ("alpha", "r", "coeff"),
-    "transfer": ("alpha", "r", "coeff", "target"),
-    "sweep": ("alphas", "r-values"),
-    "bounds": ("alpha", "n-values"),
-}
+_REQUIRED = object()  # default of a key that a flag or the config file must set
+
+# commands that share options: the protocol runs share one group, and plan
+# shares the lattice and schedule entries with them
+_RUNS = ("simulate", "transfer")
+_PLANNED = ("plan", *_RUNS)
+_ALL = (*_PLANNED, "sweep", "bounds")
+
+# (name, commands, converter, default, help), in flag order (the order of
+# --help and of the first bad value reported); shared across CLI flags and
+# config keys
+_FLAGS = (
+    ("format", _ALL, str, "json", "output format: json or csv"),
+    ("out", _ALL, str, None,
+     "output path (default stdout; relative paths use $GHZLATTICE_OUTDIR)"),
+    ("config", _ALL, str, None, "key=value config file merged under explicit flags"),
+    ("alphas", ("sweep",), _list(float), _REQUIRED, "comma-separated alpha values"),
+    ("alpha", (*_PLANNED, "bounds"), float, _REQUIRED, "interaction exponent"),
+    ("d", _ALL, int, 1, "lattice dimension"),
+    ("r-values", ("sweep",), _list(float), _REQUIRED, "comma-separated side lengths"),
+    ("n-values", ("bounds",), _list(float), _REQUIRED, "comma-separated site counts"),
+    ("r", ("plan",), float, _REQUIRED, "target side length"),
+    ("r", _RUNS, int, _REQUIRED, "lattice side length"),
+    ("r0", (*_PLANNED, "sweep"), int, 2, "base-case side length"),
+    ("q", _PLANNED, int, 2, "levels per site"),
+    ("k-alpha", ("plan",), float, None, "envelope prefactor (default: regime minimum)"),
+    ("t-base", ("plan",), float, None, "base-case time (default: envelope at r0)"),
+    ("force-m", _PLANNED, _list(int), None, "comma-separated merge factors, base outward"),
+    ("mode", ("plan",), str, "integer-exact", "integer-exact or continuous-analytic"),
+    ("mode", ("sweep",), str, "auto", "auto, integer-exact, or continuous-analytic"),
+    ("kappa-factor", ("plan",), float, 4.0, "polylog kappa numerator factor, in (3, 4]"),
+    ("coeff", _RUNS, str, _REQUIRED, "q comma-separated amplitudes, or random:SEED"),
+    ("c-site", ("simulate",), int, 0, "flat index of the source site"),
+    ("source", ("transfer",), int, 0, "flat index of the source site"),
+    ("target", ("transfer",), int, _REQUIRED, "flat index of the destination site"),
+    ("gate-mode", _RUNS, str, "dft", "single-site rotation: dft or hadamard (q=2)"),
+    ("verify", _RUNS, _bool, True, "record per-step fidelities against expected states"),
+    ("dump-amps", ("simulate",), str, None, "also write an amplitude CSV to this path"),
+    ("dump-threshold", ("simulate",), float, 1e-12, "amplitude magnitude cutoff for the dump"),
+    ("max-amps", _RUNS, int, simulator.DEFAULT_AMP_CAP, "statevector amplitude cap"),
+)
+# command -> name -> (converter, default, help)
+_OPTIONS = {cmd: {name: tuple(spec) for name, cmds, *spec in _FLAGS if cmd in cmds}
+            for cmd in _ALL}
 
 _PARSER = None
 
@@ -155,17 +121,15 @@ def _build_parser() -> _Parser:
     for name, opts in _OPTIONS.items():
         sp = sub.add_parser(name, description=f"{name} subcommand")
         for flag, (conv, default, help_text) in opts.items():
-            arg = f"--{flag}"
+            if default is _REQUIRED:
+                help_text += " (required)"
             if conv is _bool:
                 group = sp.add_mutually_exclusive_group()
-                group.add_argument(arg, dest=flag.replace("-", "_"),
-                                   action="store_const", const=True, default=None,
-                                   help=help_text)
+                group.add_argument(f"--{flag}", action="store_const", const=True, help=help_text)
                 group.add_argument(f"--no-{flag}", dest=flag.replace("-", "_"),
-                                   action="store_const", const=False, default=None)
+                                   action="store_const", const=False)
             else:
-                sp.add_argument(arg, dest=flag.replace("-", "_"), type=str,
-                                default=None, help=help_text, metavar="V")
+                sp.add_argument(f"--{flag}", help=help_text, metavar="V")
     return parser
 
 
@@ -203,8 +167,8 @@ def _settle(args: argparse.Namespace, command: str) -> dict:
             settled[key] = conv(value) if not isinstance(value, bool) else value
         except (TypeError, ValueError) as exc:
             raise _UsageError(f"bad value for --{key}: {exc}") from exc
-    for key in _REQUIRED[command]:
-        if settled[key] is None:
+    for key, value in settled.items():
+        if value is _REQUIRED:
             raise _UsageError(f"{command} requires --{key}")
     return settled
 
@@ -241,9 +205,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    path = out
-    if not os.path.isabs(path):
-        path = os.path.join(os.environ.get("GHZLATTICE_OUTDIR", "."), path)
+    path = os.path.join(os.environ.get("GHZLATTICE_OUTDIR", "."), out)  # keeps an absolute out
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -255,26 +217,17 @@ def _dump_json(obj) -> str:
         raise PreconditionError(f"result is not finite: {exc}") from exc
 
 
-def _pairs(values) -> list:
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
 def _plan_csv(p: scheduler.SchedulePlan) -> str:
     buf = io.StringIO()
     buf.write("r,r1,m,t1,t2,t_total,forced\n")
     for node in p.nodes:
-        row = [
-            repr(node.r), "" if node.r1 is None else repr(node.r1),
-            "" if node.m is None else repr(node.m),
-            "" if node.t1 is None else repr(node.t1),
-            "" if node.t2 is None else repr(node.t2),
-            repr(node.t_total), int(node.forced),
-        ]
-        buf.write(",".join(str(x) for x in row) + "\n")
+        cells = (node.r, node.r1, node.m, node.t1, node.t2, node.t_total)
+        row = ["" if x is None else repr(x) for x in cells] + [str(int(node.forced))]
+        buf.write(",".join(row) + "\n")
     return buf.getvalue()
 
 
-def _cmd_plan(o: dict) -> tuple[int, str]:
+def _cmd_plan(o: dict) -> str:
     mode = o["mode"]
     if mode not in ("integer-exact", "continuous-analytic"):
         raise _UsageError(f"unknown mode {mode!r}")
@@ -284,11 +237,8 @@ def _cmd_plan(o: dict) -> tuple[int, str]:
         kappa_factor=o["kappa-factor"],
     )
     if o["format"] == "csv":
-        return EXIT_OK, _plan_csv(p)
-    payload = p.to_dict()
-    payload["certificate"] = p.certify()
-    payload["notes"] = p.notes
-    return EXIT_OK, _dump_json(payload)
+        return _plan_csv(p)
+    return _dump_json({**p.to_dict(), "certificate": p.certify(), "notes": p.notes})
 
 
 def _make_plan_and_state(o: dict, c_site: int):
@@ -306,18 +256,32 @@ def _make_plan_and_state(o: dict, c_site: int):
     return lattice, p, coeffs, state
 
 
-def _trace_payload(o: dict, trace: protocol.ProtocolTrace, extra: dict) -> dict:
-    payload = {
+def _trace_output(o: dict, trace: protocol.ProtocolTrace, coeffs, sites: dict) -> str:
+    """A protocol trace as CSV, or as JSON with the run's inputs."""
+    if o["format"] == "csv":
+        buf = io.StringIO()
+        trace.write_csv(buf)
+        return buf.getvalue()
+    return _dump_json({
         "alpha": o["alpha"], "d": o["d"], "q": o["q"], "r": o["r"],
-        **extra,
+        **sites,
+        "coeff": [[float(c.real), float(c.imag)] for c in coeffs],
         "total_time": trace.total_time,
         "final_fidelity": trace.final_fidelity,
         "trace": trace.to_dict()["records"],
-    }
-    return payload
+    })
 
 
-def _cmd_simulate(o: dict) -> tuple[int, str]:
+def _table_output(o: dict, rows: list, write_csv, records: list) -> str:
+    """A row table as CSV (``write_csv(rows, fh)``), or its records as JSON."""
+    if o["format"] == "csv":
+        buf = io.StringIO()
+        write_csv(rows, buf)
+        return buf.getvalue()
+    return _dump_json(records)
+
+
+def _cmd_simulate(o: dict) -> str:
     lattice, p, coeffs, state = _make_plan_and_state(o, o["c-site"])
     req = protocol.EncodeRequest(lattice, lattice.full_region(), o["c-site"], coeffs, p)
     state, trace = protocol.encode(
@@ -327,46 +291,28 @@ def _cmd_simulate(o: dict) -> tuple[int, str]:
         buf = io.StringIO()
         simulator.write_amplitudes_csv(state, buf, threshold=o["dump-threshold"])
         _emit(buf.getvalue(), o["dump-amps"])
-    if o["format"] == "csv":
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        return EXIT_OK, buf.getvalue()
-    extra = {"c_site": o["c-site"], "coeff": _pairs(coeffs)}
-    return EXIT_OK, _dump_json(_trace_payload(o, trace, extra))
+    return _trace_output(o, trace, coeffs, {"c_site": o["c-site"]})
 
 
-def _cmd_transfer(o: dict) -> tuple[int, str]:
+def _cmd_transfer(o: dict) -> str:
     lattice, p, coeffs, state = _make_plan_and_state(o, o["source"])
     state, trace = protocol.state_transfer(
         state, o["source"], o["target"], lattice.full_region(), p,
         lattice=lattice, verify=o["verify"], gate_mode=o["gate-mode"],
     )
-    if o["format"] == "csv":
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        return EXIT_OK, buf.getvalue()
-    extra = {"source": o["source"], "target": o["target"],
-             "coeff": _pairs(coeffs)}
-    return EXIT_OK, _dump_json(_trace_payload(o, trace, extra))
+    return _trace_output(o, trace, coeffs, {"source": o["source"], "target": o["target"]})
 
 
-def _cmd_sweep(o: dict) -> tuple[int, str]:
+def _cmd_sweep(o: dict) -> str:
     rows = analysis.scaling_sweep(o["alphas"], o["d"], o["r-values"],
                                   mode=o["mode"], r0=o["r0"])
-    if o["format"] == "csv":
-        buf = io.StringIO()
-        analysis.write_scaling_csv(rows, buf)
-        return EXIT_OK, buf.getvalue()
-    return EXIT_OK, _dump_json([row.to_dict() for row in rows])
+    return _table_output(o, rows, analysis.write_scaling_csv,
+                         [row.to_dict() for row in rows])
 
 
-def _cmd_bounds(o: dict) -> tuple[int, str]:
+def _cmd_bounds(o: dict) -> str:
     rows = analysis.gate_bound_table(o["alpha"], o["d"], o["n-values"])
-    if o["format"] == "csv":
-        buf = io.StringIO()
-        analysis.write_gate_bound_csv(rows, buf)
-        return EXIT_OK, buf.getvalue()
-    return EXIT_OK, _dump_json(rows)
+    return _table_output(o, rows, analysis.write_gate_bound_csv, rows)
 
 
 _HANDLERS = {
@@ -376,6 +322,18 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "bounds": _cmd_bounds,
 }
+
+# (exception type, exit code, record name), most specific first; anything
+# else is an internal error
+_ERRORS = (
+    (_UsageError, EXIT_USAGE, "usage"),
+    (UnsupportedRegimeError, EXIT_REGIME, "unsupported-regime"),
+    (UnreachableTargetError, EXIT_UNREACHABLE, "unreachable-target"),
+    (MemoryCapError, EXIT_MEMCAP, "memory-cap"),
+    (GhzLatticeError, EXIT_PRECONDITION, "precondition"),
+    (OverflowError, EXIT_PRECONDITION, "overflow"),  # an analytic formula left the float range
+    (OSError, EXIT_IO, "io-error"),
+)
 
 
 def _error_record(code: int, name: str, message: str) -> None:
@@ -394,35 +352,17 @@ def run(argv) -> int:
         except SystemExit as exc:  # --help
             return int(exc.code or 0)
         if args.command is None:
-            raise _UsageError("missing subcommand (plan, simulate, transfer, sweep, bounds)")
+            raise _UsageError(f"missing subcommand ({', '.join(_ALL)})")
         settled = _settle(args, args.command)
         if settled["format"] not in ("json", "csv"):
             raise _UsageError(f"unknown format {settled['format']!r}")
-        code, text = _HANDLERS[args.command](settled)
-        _emit(text, settled["out"])
-        return code
-    except _UsageError as exc:
-        _error_record(EXIT_USAGE, "usage", str(exc))
-        return EXIT_USAGE
-    except UnsupportedRegimeError as exc:
-        _error_record(EXIT_REGIME, "unsupported-regime", str(exc))
-        return EXIT_REGIME
-    except UnreachableTargetError as exc:
-        _error_record(EXIT_UNREACHABLE, "unreachable-target", str(exc))
-        return EXIT_UNREACHABLE
-    except MemoryCapError as exc:
-        _error_record(EXIT_MEMCAP, "memory-cap", str(exc))
-        return EXIT_MEMCAP
-    except GhzLatticeError as exc:
-        _error_record(EXIT_PRECONDITION, "precondition", str(exc))
-        return EXIT_PRECONDITION
-    except OverflowError as exc:  # an analytic formula left the float range
-        _error_record(EXIT_PRECONDITION, "overflow", str(exc))
-        return EXIT_PRECONDITION
-    except OSError as exc:
-        _error_record(EXIT_IO, "io-error", str(exc))
-        return EXIT_IO
+        _emit(_HANDLERS[args.command](settled), settled["out"])
+        return EXIT_OK
     except Exception as exc:  # fuzz safety net: never crash the process
+        for kind, code, name in _ERRORS:
+            if isinstance(exc, kind):
+                _error_record(code, name, str(exc))
+                return code
         _error_record(EXIT_INTERNAL, "internal", f"{type(exc).__name__}: {exc}")
         return EXIT_INTERNAL
 
