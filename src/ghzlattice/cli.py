@@ -177,11 +177,10 @@ def _parse_coefficients(text: str, q: int) -> np.ndarray:
     """Either q comma-separated complex numbers (normalized for the caller) or
     ``random:SEED`` for a Haar-uniform draw from a seeded PCG64 generator."""
     if text.startswith("random:"):
-        try:
-            seed = int(text.split(":", 1)[1])
+        try:  # a negative seed is refused by default_rng
+            rng = np.random.default_rng(int(text.split(":", 1)[1]))
         except ValueError as exc:
             raise _UsageError(f"bad random seed: {exc}") from exc
-        rng = np.random.default_rng(seed)
         vec = rng.standard_normal(q) + 1j * rng.standard_normal(q)
     else:
         parts = [p.strip() for p in text.split(",")]
@@ -193,9 +192,17 @@ def _parse_coefficients(text: str, q: int) -> np.ndarray:
             raise _UsageError(f"bad coefficient: {exc}") from exc
     if not np.all(np.isfinite(vec)):
         raise PreconditionError(f"coefficients must be finite, got {text!r}")
-    norm = np.sqrt(np.sum(np.abs(vec) ** 2))
-    if norm == 0:
-        raise _UsageError("coefficients cannot all be zero")
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.sum(np.abs(vec) ** 2))
+    if not 0 < norm < np.inf:
+        # the squares left the float range: first divide the real and imaginary
+        # parts by the largest of them (as floats, so subnormal ones stay finite)
+        parts = vec.view(np.float64)
+        scale = np.max(np.abs(parts))
+        if scale == 0:
+            raise _UsageError("coefficients cannot all be zero")
+        vec = (parts / scale).view(np.complex128)
+        norm = np.sqrt(np.sum(np.abs(vec) ** 2))
     return vec / norm
 
 
@@ -205,7 +212,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    path = os.path.join(os.environ.get("GHZLATTICE_OUTDIR", "."), out)  # keeps an absolute out
+    path = os.path.join(os.environ.get("GHZLATTICE_OUTDIR", "."), out)  # absolute out wins
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
@@ -337,8 +344,8 @@ _ERRORS = (
 
 
 def _error_record(code: int, name: str, message: str) -> None:
-    sys.stderr.write(_dump_json({"error": {"code": code, "name": name,
-                                           "message": message}}) + "\n")
+    record = {"error": {"code": code, "name": name, "message": message}}
+    sys.stderr.write(json.dumps(record, allow_nan=False) + "\n")  # one line
 
 
 def run(argv) -> int:

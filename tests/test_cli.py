@@ -393,6 +393,27 @@ class TestBoundaryChecks:
         assert len(nodes) == 499
         assert nodes[0]["r"] == 1e300 and nodes[-1]["m"] is None
 
+    @pytest.mark.parametrize("coeff,code,want", [
+        ("random:-1", EXIT_USAGE, None),  # default_rng refuses a negative seed
+        ("0,0", EXIT_USAGE, None),
+        # finite amplitudes whose squares overflow or underflow a float
+        ("1e200,1e200j", EXIT_OK, [[2**-0.5, 0.0], [0.0, 2**-0.5]]),
+        ("1e-170,0", EXIT_OK, [[1.0, 0.0], [0.0, 0.0]]),
+        ("1e-320,0", EXIT_OK, [[1.0, 0.0], [0.0, 0.0]]),  # subnormal
+    ])
+    def test_coefficient_range(self, coeff, code, want):
+        # in-process, so a leaked RuntimeWarning fails the run (pyproject filter)
+        got, out, err = run_capture(["simulate", "--alpha", "2.5", "--r", "4",
+                                     "--force-m", "2", "--coeff", coeff])
+        assert got == code, err
+        if code != EXIT_OK:
+            assert out == "" and strict_json(err)["error"]["name"] == "usage"
+            return
+        assert err == ""
+        payload = strict_json(out)
+        assert np.allclose(payload["coeff"], want, rtol=1e-15, atol=0)
+        assert payload["final_fidelity"] >= 1 - 1e-9
+
     def test_coefficients_are_float_pairs(self):
         code, out, _ = run_capture(
             ["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2",
@@ -417,6 +438,23 @@ class TestRobustness:
         assert code == EXIT_PRECONDITION
         assert out == ""
         assert json.loads(err)["error"]["name"] == "precondition"
+
+    @pytest.mark.parametrize("argv,code", [
+        ([], EXIT_USAGE),
+        (["plan", "--alpha", "0.5", "--r", "20"], EXIT_REGIME),
+        (["plan", "--alpha", "2.5", "--r", "50"], EXIT_UNREACHABLE),
+        (["simulate", "--alpha", "2.5", "--r", "64", "--force-m", "2,2,2,2,2",
+          "--coeff", "1,0"], EXIT_MEMCAP),
+        (["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2", "--coeff", "nan,1"],
+         EXIT_PRECONDITION),
+        (["plan", "--alpha", "2.5", "--r", "20", "--out", "/nonexistent-dir/x.json"],
+         EXIT_IO),
+    ])
+    def test_error_record_is_one_line(self, argv, code):
+        got, out, err = run_capture(argv)
+        assert got == code and out == ""
+        assert err.endswith("\n") and err.count("\n") == 1, err
+        assert strict_json(err)["error"]["code"] == code
 
     def test_small_fuzz(self, tmp_path, monkeypatch):
         # the full 1e4-case fuzz lives in the acceptance suite
