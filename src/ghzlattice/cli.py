@@ -17,6 +17,7 @@ complex amplitudes are [re, im] pairs.
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import os
@@ -226,11 +227,11 @@ def _dump_json(obj) -> str:
 
 def _plan_csv(p: scheduler.SchedulePlan) -> str:
     buf = io.StringIO()
-    buf.write("r,r1,m,t1,t2,t_total,forced\n")
+    writer = csv.writer(buf)
+    writer.writerow(["r", "r1", "m", "t1", "t2", "t_total", "forced"])
     for node in p.nodes:
         cells = (node.r, node.r1, node.m, node.t1, node.t2, node.t_total)
-        row = ["" if x is None else repr(x) for x in cells] + [str(int(node.forced))]
-        buf.write(",".join(row) + "\n")
+        writer.writerow(["" if x is None else repr(x) for x in cells] + [int(node.forced)])
     return buf.getvalue()
 
 
