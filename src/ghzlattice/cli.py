@@ -20,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -56,8 +57,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _list(conv):
-    """Converter of a comma-separated list of ``conv`` values."""
-    return lambda text: [conv(x) for x in text.split(",") if x.strip()]
+    """Converter of a comma-separated list of ``conv`` values, none of them empty."""
+    def parse(text):
+        if not all(x.strip() for x in text.split(",")):
+            raise ValueError(f"empty entry in {text!r}")
+        return [conv(x) for x in text.split(",")]
+    return parse
 
 
 def _bool(text) -> bool:
@@ -251,6 +256,8 @@ def _cmd_plan(o: dict) -> str:
 
 def _make_plan_and_state(o: dict, c_site: int):
     lattice = LatticeSpec(o["d"], o["r"], o["q"])
+    if o["d"] * math.log2(max(o["r"], 2)) > 62:  # r**d itself may not fit in memory
+        raise MemoryCapError(f"a lattice of side {o['r']} in {o['d']} dimensions exceeds the cap")
     simulator.check_capacity(o["q"], lattice.n_sites, o["max-amps"])
     p = scheduler.plan(
         o["alpha"], o["d"], o["r"], r0=o["r0"], q=o["q"], forced_m=o["force-m"]

@@ -32,17 +32,19 @@ class PoleError(GhzLatticeError, ValueError):
 class UnreachableTargetError(GhzLatticeError, ValueError):
     """The target side length is not a product of the scheduled merge factors.
 
-    Carries the nearest reachable sizes bracketing the target.
+    Carries the nearest reachable sizes bracketing the target, or, for a forced
+    schedule, the one size it reaches (the other side is None).
     """
 
     def __init__(self, target, below, above):
         self.target = target
         self.below = below
         self.above = above
-        super().__init__(
-            f"side {target} is not reachable; nearest reachable sizes are "
-            f"{below} (below) and {above} (above)"
-        )
+        if below is None or above is None:
+            reach = f"the forced merge factors reach {above if below is None else below}"
+        else:
+            reach = f"nearest reachable sizes are {below} (below) and {above} (above)"
+        super().__init__(f"side {target} is not reachable; {reach}")
 
 
 class MemoryCapError(GhzLatticeError, ValueError):

@@ -447,7 +447,8 @@ def plan(
 
     integer-exact: target_r must equal r0 times a product of integer merge
     factors (from choose_m, or the ``forced_m`` override); otherwise raises
-    UnreachableTargetError carrying the nearest reachable sizes.
+    UnreachableTargetError carrying the nearest reachable sizes (for
+    ``forced_m``, the one size it reaches).
 
     continuous-analytic: target_r may be any real >= r0; merge factors are the
     real-valued upper ends of the regime intervals (constant integer in the
@@ -476,10 +477,10 @@ def plan(
     else:
         ms = _ladder(alpha, d, target_r, r0)
     sizes = list(itertools.accumulate(ms, operator.mul, initial=r0))
-    if sizes[-1] != target_r:
-        raise UnreachableTargetError(
-            target_r, below=min(sizes[-1], target_r), above=max(sizes[-1], target_r)
-        )
+    if sizes[-1] != target_r:  # a forced schedule's one size; _ladder raises its own
+        reached = sizes[-1]
+        raise UnreachableTargetError(target_r, below=reached if reached < target_r else None,
+                                     above=reached if reached > target_r else None)
 
     out = SchedulePlan(
         params=params,

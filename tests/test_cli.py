@@ -13,6 +13,7 @@ import pytest
 import ghzlattice.protocol as protocol
 import ghzlattice.simulator as simulator
 from ghzlattice.cli import (
+    _FLAGS,
     EXIT_INTERNAL,
     EXIT_IO,
     EXIT_MEMCAP,
@@ -323,6 +324,41 @@ class _ArgvTimeout(BaseException):
     """Raised from SIGALRM; not an Exception, so run()'s safety net lets it through."""
 
 
+def run_in_time(argv, seconds):
+    """run_capture(argv), failing the test if it is still running after ``seconds``."""
+    def expire(signum, frame):
+        raise _ArgvTimeout
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return run_capture(argv)
+    except _ArgvTimeout:
+        pytest.fail(f"{argv} still running after {seconds} s")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# one valid template per command, and the values each flag of the table is set
+# to on it
+FLAG_BASES = {template[0]: template for template in FUZZ_TEMPLATES}
+DEGENERATE_VALUES = ["", ",", " ", "nan", "inf", "-1", "1e308", str(2**63)]
+
+
+def flag_argvs():
+    """(flag help, argv): each command's template with one of its flags set, as
+    ``--flag=value``, to each degenerate value, in flag-table order."""
+    for name, commands, _conv, _default, help_text in _FLAGS:
+        for command in commands:
+            base = FLAG_BASES[command]
+            if f"--{name}" in base:
+                i = base.index(f"--{name}")
+                base = base[:i] + base[i + 2:]
+            for value in DEGENERATE_VALUES:
+                yield help_text, [*base, f"--{name}={value}"]
+
+
 class TestBoundaryChecks:
     """Bad numeric inputs exit with a documented code, never 0 or 1, and never
     hang: each argv runs in a fresh process under a time limit."""
@@ -364,27 +400,63 @@ class TestBoundaryChecks:
         """Every boundary argv ends within 30 s with a documented code other than
         internal; exit-0 output and every error record are strict JSON."""
         monkeypatch.chdir(tmp_path)
+        for argv in boundary_argvs():
+            code, out, err = run_in_time(argv, 30)
+            assert code in ALL_CODES - {EXIT_INTERNAL}, (argv, err)
+            if code == EXIT_OK:
+                strict_json(out)
+            else:
+                assert strict_json(err)["error"]["code"] == code, argv
 
-        def expire(signum, frame):
-            raise _ArgvTimeout
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_every_flag_at_degenerate_values(self, tmp_path, monkeypatch):
+        """Every (command, flag) of the flag table, set to each degenerate value,
+        ends with a documented code other than internal. A failure writes one
+        strict-JSON error line to stderr; a success writes a non-empty strict-JSON
+        value (to stdout, or to --out) and nothing to stderr. An empty entry in a
+        comma-separated flag is a usage error, never an empty list."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GHZLATTICE_OUTDIR", str(tmp_path))
+        for help_text, argv in flag_argvs():
+            code, out, err = run_in_time(argv, 10)
+            assert code in ALL_CODES - {EXIT_INTERNAL}, (argv, err)
+            if code == EXIT_OK:
+                assert err == "", argv
+                if argv[-1].startswith("--out="):
+                    out = (tmp_path / argv[-1][len("--out="):]).read_text()
+                assert strict_json(out), argv
+                continue
+            assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+            assert strict_json(err)["error"]["code"] == code, argv
+            if "comma-separated" in help_text and not argv[-1].split("=", 1)[1].strip(", "):
+                assert code == EXIT_USAGE, (argv, err)
 
-        previous = signal.signal(signal.SIGALRM, expire)
-        try:
-            for argv in boundary_argvs():
-                signal.alarm(30)
-                try:
-                    code, out, err = run_capture(argv)
-                except _ArgvTimeout:
-                    pytest.fail(f"{argv} still running after 30 s")
-                finally:
-                    signal.alarm(0)
-                assert code in ALL_CODES - {EXIT_INTERNAL}, (argv, err)
-                if code == EXIT_OK:
-                    strict_json(out)
-                else:
-                    assert strict_json(err)["error"]["code"] == code, argv
-        finally:
-            signal.signal(signal.SIGALRM, previous)
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--alphas", "", "--r-values", "4"],
+        ["sweep", "--alphas", ",", "--r-values", "4"],
+        ["sweep", "--alphas", "2.5", "--r-values", ""],
+        ["bounds", "--alpha", "2.5", "--n-values", ""],
+        ["bounds", "--alpha", "2.5", "--n-values", "10,"],
+        ["plan", "--alpha", "2.5", "--r", "4", "--force-m", ""],
+        ["plan", "--alpha", "2.5", "--r", "8", "--force-m", "2,,2"],
+        ["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "", "--coeff", "1,0"],
+        ["transfer", "--alpha", "2.5", "--r", "4", "--force-m", " ", "--coeff", "1,0",
+         "--target", "3"],
+    ])
+    def test_empty_list_entry_is_usage(self, argv):
+        code, out, err = run_capture(argv)
+        assert code == EXIT_USAGE and out == "", err
+        assert "empty entry" in strict_json(err)["error"]["message"]
+
+    @pytest.mark.parametrize("force_m,reach", [("2", 4), ("2,2,2", 16)])
+    def test_forced_shortfall_names_the_size_reached(self, force_m, reach):
+        # a forced list that misses side 8 names the one size it reaches, not a
+        # bracket with 8 as one end
+        code, _, err = run_capture(["plan", "--alpha", "2.5", "--r", "8",
+                                    "--force-m", force_m])
+        assert code == EXIT_UNREACHABLE
+        assert strict_json(err)["error"]["message"] == (
+            f"side 8 is not reachable; the forced merge factors reach {reach}")
 
     def test_deep_plan_json(self):
         code, out, _ = run_capture(DEEP_PLANS[0])

@@ -250,8 +250,14 @@ class TestPlan:
         assert err.value.above == 200
 
     def test_forced_m_mismatch(self):
-        with pytest.raises(UnreachableTargetError):
+        # a forced list reaches one size; the side it misses on stays None
+        with pytest.raises(UnreachableTargetError) as err:
             plan(2.5, 1, 10, r0=2, forced_m=[2, 2])
+        assert (err.value.below, err.value.above) == (8, None)
+        with pytest.raises(UnreachableTargetError) as err:
+            plan(2.5, 1, 10, r0=2, forced_m=[2, 3])
+        assert (err.value.below, err.value.above) == (None, 12)
+        assert str(err.value) == "side 10 is not reachable; the forced merge factors reach 12"
 
     def test_forced_m_tree(self):
         p = plan(2.5, 1, 16, r0=2, forced_m=[2, 2, 2])
