@@ -6,7 +6,6 @@ and crossovers are indicative, not sharp constants.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, asdict
 
@@ -96,26 +95,6 @@ def scaling_sweep(
                 )
             )
     return rows
-
-
-def write_scaling_csv(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(
-        [
-            "alpha", "d", "r", "t_protocol", "t_bound", "t_prev_best",
-            "t_lightcone", "regime", "mode", "certified",
-        ]
-    )
-    for row in rows:
-        writer.writerow(
-            [
-                repr(row.alpha), row.d, repr(row.r), repr(row.t_protocol),
-                repr(row.t_bound),
-                "" if row.t_prev_best is None else repr(row.t_prev_best),
-                "" if row.t_lightcone is None else repr(row.t_lightcone),
-                row.regime, row.mode, int(row.certified),
-            ]
-        )
 
 
 def fit_loglog_slope(rs, ts) -> float:
@@ -251,11 +230,3 @@ def gate_bound_table(alpha: float, d: int, n_values) -> list[dict]:
             }
         )
     return rows
-
-
-def write_gate_bound_csv(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["n", "t_star", "lower", "upper", "gap_factor"])
-    for row in rows:
-        writer.writerow([repr(row["n"]), repr(row["t_star"]), repr(row["lower"]),
-                         repr(row["upper"]), repr(row["gap_factor"])])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -230,13 +231,15 @@ def _dump_json(obj) -> str:
         raise PreconditionError(f"result is not finite: {exc}") from exc
 
 
-def _plan_csv(p: scheduler.SchedulePlan) -> str:
+def _csv(columns, records) -> str:
+    """``records`` (dicts) as CSV with one column per key in ``columns``: floats
+    by repr and None as an empty cell (csv.writer's rules), bools as 0/1, and
+    CRLF row endings."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["r", "r1", "m", "t1", "t2", "t_total", "forced"])
-    for node in p.nodes:
-        cells = (node.r, node.r1, node.m, node.t1, node.t2, node.t_total)
-        writer.writerow(["" if x is None else repr(x) for x in cells] + [int(node.forced)])
+    writer.writerow(columns)
+    for rec in records:
+        writer.writerow([int(rec[c]) if isinstance(rec[c], bool) else rec[c] for c in columns])
     return buf.getvalue()
 
 
@@ -250,7 +253,7 @@ def _cmd_plan(o: dict) -> str:
         kappa_factor=o["kappa-factor"],
     )
     if o["format"] == "csv":
-        return _plan_csv(p)
+        return _csv(("r", "r1", "m", "t1", "t2", "t_total", "forced"), p.to_dict()["nodes"])
     return _dump_json({**p.to_dict(), "certificate": p.certify(), "notes": p.notes})
 
 
@@ -273,26 +276,24 @@ def _make_plan_and_state(o: dict, c_site: int):
 
 def _trace_output(o: dict, trace: protocol.ProtocolTrace, coeffs, sites: dict) -> str:
     """A protocol trace as CSV, or as JSON with the run's inputs."""
+    records = trace.to_dict()["records"]
     if o["format"] == "csv":
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        return buf.getvalue()
+        return _csv(("step", "level", "inverse", "time", "fidelity"),
+                    [{**rec, "time": rec["elapsed"]} for rec in records])
     return _dump_json({
         "alpha": o["alpha"], "d": o["d"], "q": o["q"], "r": o["r"],
         **sites,
         "coeff": [[float(c.real), float(c.imag)] for c in coeffs],
         "total_time": trace.total_time,
         "final_fidelity": trace.final_fidelity,
-        "trace": trace.to_dict()["records"],
+        "trace": records,
     })
 
 
-def _table_output(o: dict, rows: list, write_csv, records: list) -> str:
-    """A row table as CSV (``write_csv(rows, fh)``), or its records as JSON."""
+def _table_output(o: dict, columns, records: list) -> str:
+    """Row records as CSV with these columns, or as JSON."""
     if o["format"] == "csv":
-        buf = io.StringIO()
-        write_csv(rows, buf)
-        return buf.getvalue()
+        return _csv(columns, records)
     return _dump_json(records)
 
 
@@ -303,9 +304,9 @@ def _cmd_simulate(o: dict) -> str:
         state, req, verify=o["verify"], gate_mode=o["gate-mode"]
     )
     if o["dump-amps"] is not None:
-        buf = io.StringIO()
-        simulator.write_amplitudes_csv(state, buf, threshold=o["dump-threshold"])
-        _emit(buf.getvalue(), o["dump-amps"])
+        columns = ("basis", "re", "im")
+        rows = simulator.dump_amplitudes(state, o["dump-threshold"])
+        _emit(_csv(columns, [dict(zip(columns, row)) for row in rows]), o["dump-amps"])
     return _trace_output(o, trace, coeffs, {"c_site": o["c-site"]})
 
 
@@ -321,13 +322,13 @@ def _cmd_transfer(o: dict) -> str:
 def _cmd_sweep(o: dict) -> str:
     rows = analysis.scaling_sweep(o["alphas"], o["d"], o["r-values"],
                                   mode=o["mode"], r0=o["r0"])
-    return _table_output(o, rows, analysis.write_scaling_csv,
-                         [row.to_dict() for row in rows])
+    columns = [f.name for f in dataclasses.fields(analysis.ScalingRow)]
+    return _table_output(o, columns, [row.to_dict() for row in rows])
 
 
 def _cmd_bounds(o: dict) -> str:
     rows = analysis.gate_bound_table(o["alpha"], o["d"], o["n-values"])
-    return _table_output(o, rows, analysis.write_gate_bound_csv, rows)
+    return _table_output(o, list(rows[0]), rows)  # --n-values holds at least one entry
 
 
 _HANDLERS = {

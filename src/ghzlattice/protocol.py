@@ -50,7 +50,6 @@ otherwise); each target child concentrates onto its anchor site.
 """
 from __future__ import annotations
 
-import csv
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -163,20 +162,6 @@ class ProtocolTrace:
             "forced": self.forced,
             "records": [rec.to_dict() for rec in self.records],
         }
-
-    def write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "level", "inverse", "time", "fidelity"])
-        for rec in self.records:
-            writer.writerow(
-                [
-                    rec.step,
-                    rec.level,
-                    int(rec.inverse),
-                    repr(rec.elapsed),
-                    "" if rec.fidelity is None else repr(rec.fidelity),
-                ]
-            )
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,6 @@ looked up slab by slab, so no full-size phase array exists.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -483,10 +482,3 @@ def dump_amplitudes(state: StateVector, threshold: float = 1e-12) -> list[tuple]
     basis = ["".join(map(str, row)) for row in digits.tolist()]
     kept = state.amps[keep]
     return list(zip(basis, kept.real.tolist(), kept.imag.tolist()))
-
-
-def write_amplitudes_csv(state: StateVector, fh, threshold: float = 1e-12) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["basis", "re", "im"])
-    for row in dump_amplitudes(state, threshold):
-        writer.writerow([row[0], repr(row[1]), repr(row[2])])

@@ -1,4 +1,4 @@
-import io
+import csv
 import math
 
 import numpy as np
@@ -13,15 +13,32 @@ from ghzlattice.analysis import (
     scaling_sweep,
     speedup_crossover,
     speedup_report,
-    write_gate_bound_csv,
-    write_scaling_csv,
 )
+from ghzlattice.cli import run
 from ghzlattice.errors import (
     PreconditionError,
     UnreachableTargetError,
     UnsupportedRegimeError,
 )
 from ghzlattice.scheduler import plan, protocol_time, table1_curves
+
+
+def cli_csv(tmp_path, argv) -> list[list[str]]:
+    """The rows of a CLI table written as CSV, after checking its CRLF endings."""
+    out = tmp_path / "table.csv"
+    assert run([*argv, "--format", "csv", "--out", str(out)]) == 0
+    text = out.read_bytes().decode()
+    assert text.endswith("\r\n") and text.count("\n") == text.count("\r\n")
+    return list(csv.reader(text.splitlines()))
+
+
+def csv_cell(value) -> str:
+    """A value as the CLI writes it in a CSV cell."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 class TestScalingSweep:
@@ -67,13 +84,14 @@ class TestScalingSweep:
         with pytest.raises(UnreachableTargetError):
             scaling_sweep([2.5], 1, [24], mode="integer-exact")
 
-    def test_csv_emission(self):
+    def test_csv_emission(self, tmp_path):
+        # the CLI's sweep CSV: one row per sample, floats by repr, None empty,
+        # bools as 0/1
+        header, *cells = cli_csv(tmp_path, ["sweep", "--alphas", "2.5", "--d", "1",
+                                            "--r-values", "20,24"])
         rows = scaling_sweep([2.5], 1, [20, 24])
-        buf = io.StringIO()
-        write_scaling_csv(rows, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0].startswith("alpha,d,r,")
-        assert len(lines) == 3
+        assert header == list(rows[0].to_dict())
+        assert cells == [[csv_cell(v) for v in row.to_dict().values()] for row in rows]
 
 
 class TestExponentFits:
@@ -173,9 +191,9 @@ class TestGateBoundTable:
         assert row["t_star"] == 0.0
         assert row["lower"] == 1.0 and row["upper"] == 1.0
 
-    def test_csv(self):
-        buf = io.StringIO()
-        write_gate_bound_csv(gate_bound_table(2.5, 1, [10, 100]), buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "n,t_star,lower,upper,gap_factor"
-        assert len(lines) == 3
+    def test_csv(self, tmp_path):
+        header, *cells = cli_csv(tmp_path, ["bounds", "--alpha", "2.5", "--d", "1",
+                                            "--n-values", "10,100"])
+        assert header == ["n", "t_star", "lower", "upper", "gap_factor"]
+        rows = gate_bound_table(2.5, 1, [10, 100])
+        assert cells == [[csv_cell(row[k]) for k in header] for row in rows]

@@ -1,5 +1,4 @@
 import cmath
-import io
 import itertools
 import json
 import math
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ghzlattice.cli as cli
 import ghzlattice.protocol as protocol
 import ghzlattice.simulator as simulator
 
@@ -254,18 +254,26 @@ class TestEncode:
         with pytest.raises(PlanMismatchError):
             EncodeRequest(lat, lat.full_region(), 0, np.array([1.0, 0]), p)
 
-    def test_trace_serialization(self):
+    def test_trace_serialization(self, tmp_path):
         lat = chain(4)
         req = request(lat, [0.6, 0.8], [2])
         _, trace = encode(source_state(lat, 0, [0.6, 0.8]), req)
         payload = json.loads(json.dumps(trace.to_dict()))
         assert payload["total_time"] == trace.total_time
         assert len(payload["records"]) == len(trace.records)
-        buf = io.StringIO()
-        trace.write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "step,level,inverse,time,fidelity"
-        assert len(lines) == 1 + len(trace.records)
+        # the CLI's CSV of a run: one CRLF row per record of its JSON trace
+        argv = ["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2",
+                "--coeff", "0.6,0.8", "--out"]
+        assert cli.run([*argv, str(tmp_path / "trace.json")]) == 0
+        assert cli.run([*argv, str(tmp_path / "trace.csv"), "--format", "csv"]) == 0
+        records = json.loads((tmp_path / "trace.json").read_text())["trace"]
+        want = ["step,level,inverse,time,fidelity"] + [
+            f"{rec['step']},{rec['level']},{int(rec['inverse'])},{rec['elapsed']!r},"
+            f"{rec['fidelity']!r}" for rec in records
+        ]
+        assert len(records) == len(trace.records)
+        assert (tmp_path / "trace.csv").read_bytes().decode() == "".join(
+            line + "\r\n" for line in want)
 
 
 class TestMergePhaseSign:

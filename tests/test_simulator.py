@@ -1,4 +1,3 @@
-import io
 import itertools
 import math
 from functools import reduce
@@ -7,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ghzlattice import simulator
+from ghzlattice import cli, protocol, simulator
 from ghzlattice.errors import MemoryCapError, OutOfBoundsError, PreconditionError
 from ghzlattice.geometry import LatticeSpec, Region, site_mask
 from ghzlattice.simulator import (
@@ -25,11 +24,18 @@ from ghzlattice.simulator import (
     fidelity,
     hadamard_matrix,
     init_product,
-    write_amplitudes_csv,
     zero_state,
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def cli_dump(path, *flags) -> int:
+    """Exit code of a CLI encode of (0.6, 0.8) on a 4-site chain that dumps its
+    amplitudes to ``path``."""
+    return cli.run(["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2",
+                    "--coeff", "0.6,0.8", "--dump-amps", str(path),
+                    "--out", str(path.with_suffix(".json")), *flags])
 
 
 def random_state(q, n, rng=RNG):
@@ -681,8 +687,9 @@ class TestCapacityAndDump:
         with pytest.raises(PreconditionError):
             dump_amplitudes(state, threshold=math.nan)
 
-    def test_csv_matches_reference_loop(self):
-        """The CSV dump is byte-identical to a per-amplitude reference loop."""
+    def test_csv_matches_reference_loop(self, tmp_path, monkeypatch):
+        """The CLI's amplitude dump is byte-identical to a per-amplitude reference
+        loop; the encode the CLI runs returns this state instead of its own."""
         state = random_state(3, 7, np.random.default_rng(5))
         threshold = 0.02  # drops some rows, keeps others
         rows = []
@@ -696,17 +703,19 @@ class TestCapacityAndDump:
                 digits.append(str(level))
             rows.append("".join(digits) + f",{float(a.real)!r},{float(a.imag)!r}\r\n")
         assert 0 < len(rows) < state.amps.size
-        buf = io.StringIO()
-        write_amplitudes_csv(state, buf, threshold=threshold)
-        assert buf.getvalue() == "basis,re,im\r\n" + "".join(rows)
+        monkeypatch.setattr(protocol, "encode",
+                            lambda *args, **kwargs: (state, protocol.ProtocolTrace()))
+        dump = tmp_path / "amps.csv"
+        assert cli_dump(dump, "--dump-threshold", str(threshold)) == 0
+        assert dump.read_bytes().decode() == "basis,re,im\r\n" + "".join(rows)
 
-    def test_csv_shape(self):
-        lat = LatticeSpec(1, 2)
-        buf = io.StringIO()
-        write_amplitudes_csv(zero_state(lat), buf)
-        lines = buf.getvalue().strip().splitlines()
+    def test_csv_shape(self, tmp_path):
+        dump = tmp_path / "amps.csv"
+        assert cli_dump(dump) == 0
+        lines = dump.read_bytes().decode().split("\r\n")
         assert lines[0] == "basis,re,im"
-        assert lines[1].startswith("00,")
+        assert lines[1].startswith("0000,") and lines[2].startswith("1111,")
+        assert lines[3:] == [""]
 
 
 class TestSiteMaskIntegration:
