@@ -2,9 +2,9 @@
 
 The protocol is one fixed unitary: the applied ops depend on the geometry but
 never on the encoded coefficients, so encoding is exactly linear in the input
-state.  It is compiled once per (lattice, region, c, plan, gate mode) into a
-flat list of steps, one per trace record, each holding its ops: single-site
-gates, controlled increments and diagonal phase evolutions.  Each run of
+state.  It is compiled once per (lattice, region, c, plan) into a flat list
+of steps, one per trace record, each holding its ops: single-site gates,
+controlled increments and diagonal phase evolutions.  Each run of
 consecutive ops within a step whose sites fit one window is then fused into
 one window block.  A run of increments and phases only is monomial: it fuses
 up to 256 amplitudes and is held as its gather (a permutation and phases),
@@ -75,7 +75,6 @@ from .simulator import (
     basis_vector,
     dft_matrix,
     evolve_phase,
-    hadamard_matrix,
 )
 
 GATE_DFT = "dft"
@@ -341,7 +340,7 @@ def _fuse(q: int, ops: list) -> list:
 
 
 class _Machine:
-    """The protocol for one (lattice, region, c, plan, gate mode), compiled once.
+    """The protocol for one (lattice, region, c, plan), compiled once.
 
     ``steps`` is the encode as a flat list with one entry per trace record,
     ``(level, step, elapsed, regions, ops)``, each step's ops fused into window
@@ -352,17 +351,12 @@ class _Machine:
     the couplings' cached phase weights).
     """
 
-    def __init__(self, lattice: LatticeSpec, region: Region, c: int,
-                 plan: SchedulePlan, gate_mode: str = GATE_DFT):
+    def __init__(self, lattice: LatticeSpec, region: Region, c: int, plan: SchedulePlan):
         self.lattice = lattice
         self.c = c
         self.q = lattice.levels
         self.c_coord = lattice.coord(c)
-        if gate_mode not in (GATE_DFT, GATE_HADAMARD):
-            raise PreconditionError(f"unknown gate mode {gate_mode!r}")
-        if gate_mode == GATE_HADAMARD and self.q != 2:
-            raise PreconditionError("the Hadamard gate path needs q = 2")
-        self.gate = hadamard_matrix() if gate_mode == GATE_HADAMARD else dft_matrix(self.q)
+        self.gate = dft_matrix(self.q)
 
         # nodes[level]: level 0 is the base case, level L the plan root
         self.nodes = plan.nodes[::-1]
@@ -537,12 +531,16 @@ _MACHINES_PER_PLAN = 32
 
 
 def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
-    key = (req.lattice, req.region, req.c, gate_mode)
+    if gate_mode not in (GATE_DFT, GATE_HADAMARD):
+        raise PreconditionError(f"unknown gate mode {gate_mode!r}")
+    if gate_mode == GATE_HADAMARD and req.lattice.levels != 2:
+        raise PreconditionError("the Hadamard gate path needs q = 2")
+    # dft_matrix(2) is bitwise the Hadamard, so both modes run one machine
+    key = (req.lattice, req.region, req.c)
     cache = req.plan.__dict__.setdefault("_machine_cache", OrderedDict())
     machine = cache.get(key)
     if machine is None:
-        machine = cache[key] = _Machine(req.lattice, req.region, req.c, req.plan,
-                                        gate_mode=gate_mode)
+        machine = cache[key] = _Machine(req.lattice, req.region, req.c, req.plan)
         if len(cache) > _MACHINES_PER_PLAN:
             cache.popitem(last=False)
     else:

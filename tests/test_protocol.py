@@ -592,6 +592,14 @@ class TestQuditsAndGateModes:
                                 verify=False, gate_mode="hadamard")
             assert np.array_equal(out_dft.amps, out_had.amps)
 
+    def test_hadamard_mode_compiles_no_second_machine(self):
+        lat = chain(8)
+        req = request(lat, [0.6, 0.8], [2, 2])
+        encode(source_state(lat, 0, [0.6, 0.8]), req, gate_mode="dft")
+        machines = dict(req.plan._machine_cache)
+        encode(source_state(lat, 0, [0.6, 0.8]), req, gate_mode="hadamard")
+        assert req.plan._machine_cache == machines and len(machines) == 1
+
     def test_hadamard_mode_needs_q2(self):
         lat = chain(4, q=3)
         req = request(lat, np.ones(3) / math.sqrt(3), [2])
