@@ -60,9 +60,10 @@ class _Parser(argparse.ArgumentParser):
 def _list(conv):
     """Converter of a comma-separated list of ``conv`` values, none of them empty."""
     def parse(text):
-        if not all(x.strip() for x in text.split(",")):
+        entries = text.split(",")
+        if not all(x.strip() for x in entries):
             raise ValueError(f"empty entry in {text!r}")
-        return [conv(x) for x in text.split(",")]
+        return [conv(x) for x in entries]
     return parse
 
 
