@@ -21,7 +21,6 @@ import csv
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 
@@ -31,6 +30,7 @@ from . import analysis, protocol, scheduler, simulator
 from .errors import (
     GhzLatticeError,
     MemoryCapError,
+    OutOfBoundsError,
     PreconditionError,
     UnreachableTargetError,
     UnsupportedRegimeError,
@@ -67,6 +67,15 @@ def _list(conv):
     return parse
 
 
+def _choice(*allowed):
+    """Converter refusing any value but one of ``allowed``."""
+    def parse(text):
+        if text not in allowed:
+            raise ValueError(f"expected one of {', '.join(allowed)}, got {text!r}")
+        return text
+    return parse
+
+
 def _bool(text) -> bool:
     if str(text).lower() in ("1", "true", "yes", "on"):
         return True
@@ -87,7 +96,7 @@ _ALL = (*_PLANNED, "sweep", "bounds")
 # --help and of the first bad value reported); shared across CLI flags and
 # config keys
 _FLAGS = (
-    ("format", _ALL, str, "json", "output format: json or csv"),
+    ("format", _ALL, _choice("json", "csv"), "json", "output format: json or csv"),
     ("out", _ALL, str, None,
      "output path (default stdout; relative paths use $GHZLATTICE_OUTDIR)"),
     ("config", _ALL, str, None, "key=value config file merged under explicit flags"),
@@ -103,14 +112,17 @@ _FLAGS = (
     ("k-alpha", ("plan",), float, None, "envelope prefactor (default: regime minimum)"),
     ("t-base", ("plan",), float, None, "base-case time (default: envelope at r0)"),
     ("force-m", _PLANNED, _list(int), None, "comma-separated merge factors, base outward"),
-    ("mode", ("plan",), str, "integer-exact", "integer-exact or continuous-analytic"),
-    ("mode", ("sweep",), str, "auto", "auto, integer-exact, or continuous-analytic"),
+    ("mode", ("plan",), _choice(analysis.INTEGER_EXACT, analysis.CONTINUOUS),
+     analysis.INTEGER_EXACT, "integer-exact or continuous-analytic"),
+    ("mode", ("sweep",), _choice(analysis.AUTO, analysis.INTEGER_EXACT, analysis.CONTINUOUS),
+     analysis.AUTO, "auto, integer-exact, or continuous-analytic"),
     ("kappa-factor", ("plan",), float, 4.0, "polylog kappa numerator factor, in (3, 4]"),
     ("coeff", _RUNS, str, _REQUIRED, "q comma-separated amplitudes, or random:SEED"),
     ("c-site", ("simulate",), int, 0, "flat index of the source site"),
     ("source", ("transfer",), int, 0, "flat index of the source site"),
     ("target", ("transfer",), int, _REQUIRED, "flat index of the destination site"),
-    ("gate-mode", _RUNS, str, "dft", "single-site rotation: dft or hadamard (q=2)"),
+    ("gate-mode", _RUNS, _choice(protocol.GATE_DFT, protocol.GATE_HADAMARD), protocol.GATE_DFT,
+     "single-site rotation: dft or hadamard (q=2)"),
     ("verify", _RUNS, _bool, True, "record per-step fidelities against expected states"),
     ("dump-amps", ("simulate",), str, None, "also write an amplitude CSV to this path"),
     ("dump-threshold", ("simulate",), float, 1e-12, "amplitude magnitude cutoff for the dump"),
@@ -119,8 +131,6 @@ _FLAGS = (
 # command -> name -> (converter, default, help)
 _OPTIONS = {cmd: {name: tuple(spec) for name, cmds, *spec in _FLAGS if cmd in cmds}
             for cmd in _ALL}
-
-_PARSER = None
 
 
 def _build_parser() -> _Parser:
@@ -139,6 +149,9 @@ def _build_parser() -> _Parser:
             else:
                 sp.add_argument(f"--{flag}", help=help_text, metavar="V")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _read_config(path: str) -> dict:
@@ -245,12 +258,9 @@ def _csv(columns, records) -> str:
 
 
 def _cmd_plan(o: dict) -> str:
-    mode = o["mode"]
-    if mode not in ("integer-exact", "continuous-analytic"):
-        raise _UsageError(f"unknown mode {mode!r}")
     p = scheduler.plan(
         o["alpha"], o["d"], o["r"], r0=o["r0"], t_base=o["t-base"], q=o["q"],
-        K_alpha=o["k-alpha"], forced_m=o["force-m"], mode=mode,
+        K_alpha=o["k-alpha"], forced_m=o["force-m"], mode=o["mode"],
         kappa_factor=o["kappa-factor"],
     )
     if o["format"] == "csv":
@@ -258,19 +268,20 @@ def _cmd_plan(o: dict) -> str:
     return _dump_json({**p.to_dict(), "certificate": p.certify(), "notes": p.notes})
 
 
-def _make_plan_and_state(o: dict, c_site: int):
+def _make_plan_and_state(o: dict, *sites: int):
+    """The lattice, plan, coefficients and product state of a run whose source
+    is ``sites[0]``; every site in ``sites`` must lie on the lattice."""
     lattice = LatticeSpec(o["d"], o["r"], o["q"])
-    if o["d"] * math.log2(max(o["r"], 2)) > 62:  # r**d itself may not fit in memory
-        raise MemoryCapError(f"a lattice of side {o['r']} in {o['d']} dimensions exceeds the cap")
-    simulator.check_capacity(o["q"], lattice.n_sites, o["max-amps"])
+    simulator._check_lattice(lattice, o["max-amps"])
     p = scheduler.plan(
         o["alpha"], o["d"], o["r"], r0=o["r0"], q=o["q"], forced_m=o["force-m"]
     )
     coeffs = _parse_coefficients(o["coeff"], o["q"])
     states = [simulator.basis_vector(o["q"], 0) for _ in range(lattice.n_sites)]
-    if not 0 <= c_site < lattice.n_sites:
-        raise _UsageError(f"site {c_site} outside the lattice")
-    states[c_site] = coeffs
+    for s in sites:
+        if not 0 <= s < lattice.n_sites:
+            raise OutOfBoundsError(f"site {s} outside the lattice")
+    states[sites[0]] = coeffs
     state = simulator.init_product(lattice, states, max_amps=o["max-amps"])
     return lattice, p, coeffs, state
 
@@ -312,7 +323,7 @@ def _cmd_simulate(o: dict) -> str:
 
 
 def _cmd_transfer(o: dict) -> str:
-    lattice, p, coeffs, state = _make_plan_and_state(o, o["source"])
+    lattice, p, coeffs, state = _make_plan_and_state(o, o["source"], o["target"])
     state, trace = protocol.state_transfer(
         state, o["source"], o["target"], lattice.full_region(), p,
         lattice=lattice, verify=o["verify"], gate_mode=o["gate-mode"],
@@ -360,9 +371,6 @@ def _error_record(code: int, name: str, message: str) -> None:
 
 def run(argv) -> int:
     """Parse argv, execute, return an exit status; never raises."""
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = _build_parser()
     try:
         try:
             args = _PARSER.parse_args(argv)
@@ -371,8 +379,6 @@ def run(argv) -> int:
         if args.command is None:
             raise _UsageError(f"missing subcommand ({', '.join(_ALL)})")
         settled = _settle(args, args.command)
-        if settled["format"] not in ("json", "csv"):
-            raise _UsageError(f"unknown format {settled['format']!r}")
         _emit(_HANDLERS[args.command](settled), settled["out"])
         return EXIT_OK
     except Exception as exc:  # fuzz safety net: never crash the process

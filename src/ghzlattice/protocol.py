@@ -42,7 +42,8 @@ is one gather of the live state at those indices, over the live norm.
 
 Time accounting matches the schedule: the base record costs ``t_base`` and a
 merge level's records cost ``(t2, t_child, 0, t_child)``, which telescopes to
-the plan root's ``t_total = 3*t1 + t2`` recursion exactly.
+the plan root's ``t_total = 3*t1 + t2`` recursion exactly.  A run reads these
+off its own plan (:func:`_step_times`), never off the machine it shares.
 
 Within a cube, the control child is the one containing the cube's information
 site (the global source site if the cube contains it, the cube's anchor
@@ -51,9 +52,8 @@ otherwise); each target child concentrates onto its anchor site.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -343,12 +343,12 @@ class _Machine:
     """The protocol for one (lattice, region, c, plan), compiled once.
 
     ``steps`` is the encode as a flat list with one entry per trace record,
-    ``(level, step, elapsed, regions, ops)``, each step's ops fused into window
-    blocks (``_compile`` returns them unfused); ``inverse_steps`` is the decode,
-    the same list reversed with every op list inverted; ``terms`` are the
+    ``(level, step, regions, ops)``, each step's ops fused into window blocks
+    (``_compile`` returns them unfused); ``inverse_steps`` is the decode, the
+    same list reversed with every op list inverted; ``terms`` are the
     verification terms.  All are independent of the encoded coefficients, so
-    machines are cached on the plan and reused across runs (which also reuses
-    the couplings' cached phase weights).
+    machines are shared by equal requests through :func:`_machine`; they hold
+    nothing that differs in bits between equal plans, such as step times.
     """
 
     def __init__(self, lattice: LatticeSpec, region: Region, c: int, plan: SchedulePlan):
@@ -359,8 +359,8 @@ class _Machine:
         self.gate = dft_matrix(self.q)
 
         # nodes[level]: level 0 is the base case, level L the plan root
-        self.nodes = plan.nodes[::-1]
-        self.n_levels = len(self.nodes) - 1
+        nodes = plan.nodes[::-1]
+        self.n_levels = len(nodes) - 1
         # cubes[level]: every cube of that side inside the region; merges[cube]:
         # the merge structure of each cube above the base level
         self.cubes: list[list[Region]] = [[] for _ in range(self.n_levels + 1)]
@@ -368,7 +368,7 @@ class _Machine:
         self.cubes[self.n_levels] = [region]
         alpha = plan.params.alpha
         for level in range(self.n_levels, 0, -1):
-            node = self.nodes[level]
+            node = nodes[level]
             duration = merge_duration(alpha, plan.params.d, node.m, node.r1, q=plan.q)
             for cube in self.cubes[level]:
                 kids = partition(cube, node.m, c=self.info_site(cube))
@@ -383,22 +383,18 @@ class _Machine:
                 self.merges[cube] = _Merge(control, targets, coupling, duration,
                                            gate_sites)
                 self.cubes[level - 1].extend([control, *targets])
-        self.steps = [(level, step, elapsed, regions, _fuse(self.q, ops))
-                      for level, step, elapsed, regions, ops in self._compile()]
+        self.steps = [(level, step, regions, _fuse(self.q, ops))
+                      for level, step, regions, ops in self._compile()]
+        self.inverse_steps = [(level, step, regions, _inverted(ops))
+                              for level, step, regions, ops in reversed(self.steps)]
 
     def info_site(self, cube: Region) -> tuple[int, ...]:
         return self.c_coord if cube.contains(self.c_coord) else cube.anchor
 
     def _compile(self) -> list[tuple]:
-        gate_ops: dict[int, tuple] = {}
-        unitaries: dict[Region, list] = {}
-
+        @cache
         def gate(site: int) -> tuple:
-            op = gate_ops.get(site)
-            if op is None:
-                op = gate_ops[site] = (_BLOCK, Gate(self.gate, site),
-                                       Gate(self.gate.conj().T, site))
-            return op
+            return (_BLOCK, Gate(self.gate, site), Gate(self.gate.conj().T, site))
 
         def merge_steps(cubes: list[Region], level: int) -> list[list]:
             """Steps 2-5 of a merge: phase, concentrate, rotate, redistribute."""
@@ -411,6 +407,7 @@ class _Machine:
                 [op for t in targets for op in unitary(t, level - 1)],
             ]
 
+        @cache
         def unitary(cube: Region, level: int) -> list:
             """The bare encode U of one cube.
 
@@ -419,20 +416,16 @@ class _Machine:
             children symmetrically (gate on the child origin, then the child's
             own U), while the control child just runs its U on the incoming state.
             """
-            ops = unitaries.get(cube)
-            if ops is None:
-                if level == 0:  # fan the origin's level out onto the cube
-                    origin = self.lattice.flat_index(self.info_site(cube))
-                    ops = [(_INC, origin, s, False)
-                           for s in site_mask(cube, self.lattice).tolist() if s != origin]
-                else:
-                    mg = self.merges[cube]
-                    ops = list(unitary(mg.control, level - 1))
-                    for t, s in zip(mg.targets, mg.gate_sites):
-                        ops += [gate(s), *unitary(t, level - 1)]
-                    for step_ops in merge_steps([cube], level):
-                        ops += step_ops
-                unitaries[cube] = ops
+            if level == 0:  # fan the origin's level out onto the cube
+                origin = self.lattice.flat_index(self.info_site(cube))
+                return [(_INC, origin, s, False)
+                        for s in site_mask(cube, self.lattice).tolist() if s != origin]
+            mg = self.merges[cube]
+            ops = list(unitary(mg.control, level - 1))
+            for t, s in zip(mg.targets, mg.gate_sites):
+                ops += [gate(s), *unitary(t, level - 1)]
+            for step_ops in merge_steps([cube], level):
+                ops += step_ops
             return ops
 
         # base level: every base cube encodes at once; symmetric cubes first
@@ -443,24 +436,18 @@ class _Machine:
             if not cube.contains(self.c_coord):
                 base.append(gate(self.lattice.flat_index(cube.anchor)))
             base += unitary(cube, 0)
-        steps = [(0, 1, self.nodes[0].t_total, tuple(self.cubes[0]), base)]
+        steps = [(0, 1, tuple(self.cubes[0]), base)]
         for level in range(1, self.n_levels + 1):
             cubes = self.cubes[level]
             targets = tuple(t for cube in cubes for t in self.merges[cube].targets)
-            t_child = self.nodes[level - 1].t_total
             ops2, ops3, ops4, ops5 = merge_steps(cubes, level)
             steps += [
-                (level, 2, self.nodes[level].t2, tuple(cubes), ops2),
-                (level, 3, t_child, targets, ops3),
-                (level, 4, 0.0, targets, ops4),
-                (level, 5, t_child, targets, ops5),
+                (level, 2, tuple(cubes), ops2),
+                (level, 3, targets, ops3),
+                (level, 4, targets, ops4),
+                (level, 5, targets, ops5),
             ]
         return steps
-
-    @cached_property
-    def inverse_steps(self) -> list[tuple]:
-        return [(level, step, elapsed, regions, _inverted(ops))
-                for level, step, elapsed, regions, ops in reversed(self.steps)]
 
     @cached_property
     def terms(self) -> tuple:
@@ -526,8 +513,8 @@ class _Machine:
         return lv * stride(merge.control) + tgt, np.broadcast_to(lv, weight.shape), weight
 
 
-#: Machines cached per plan, least recently used evicted first.
-_MACHINES_PER_PLAN = 32
+#: ``_machine(lattice, region, c, plan)``: the compiled machine, shared by equal keys.
+_machine = lru_cache(maxsize=32)(_Machine)
 
 
 def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
@@ -536,16 +523,16 @@ def _get_machine(req: EncodeRequest, gate_mode: str) -> _Machine:
     if gate_mode == GATE_HADAMARD and req.lattice.levels != 2:
         raise PreconditionError("the Hadamard gate path needs q = 2")
     # dft_matrix(2) is bitwise the Hadamard, so both modes run one machine
-    key = (req.lattice, req.region, req.c)
-    cache = req.plan.__dict__.setdefault("_machine_cache", OrderedDict())
-    machine = cache.get(key)
-    if machine is None:
-        machine = cache[key] = _Machine(req.lattice, req.region, req.c, req.plan)
-        if len(cache) > _MACHINES_PER_PLAN:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return machine
+    return _machine(req.lattice, req.region, req.c, req.plan)
+
+
+def _step_times(plan: SchedulePlan) -> list:
+    """The encode records' elapsed times, read off ``plan`` itself, since equal
+    plans may hold them as different bytes (``t_base=1`` and ``1.0``)."""
+    times = [plan.nodes[-1].t_total]
+    for node in reversed(plan.nodes[:-1]):
+        times += [node.t2, node.t1, 0.0, node.t1]
+    return times
 
 
 def _check_fits(state: StateVector, lattice: LatticeSpec) -> None:
@@ -620,11 +607,12 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
     steps = machine.inverse_steps if inverse else machine.steps
+    times = _step_times(req.plan)[::-1 if inverse else 1]
     if verify:
         _check_fits(state, req.lattice)
         checks = machine.terms[-2::-1] if inverse else machine.terms[1:]
     spare, owned = None, overwrite  # the next op's output; whether state's is ours
-    for i, (level, step, elapsed, regions, ops) in enumerate(steps):
+    for i, (level, step, regions, ops) in enumerate(steps):
         for op in ops:
             out = None
             if on_step is None:
@@ -635,7 +623,7 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
         if verify:
             fid = trace.final_fidelity = _overlap(
                 state, checks[i], req.coefficients, state._norm2 if ops else None)
-        rec = StepRecord(level, step, inverse, elapsed, fid, regions)
+        rec = StepRecord(level, step, inverse, times[i], fid, regions)
         trace.records.append(rec)
         if on_step is not None:
             on_step(rec, state)

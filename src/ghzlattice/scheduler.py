@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     PoleError,
@@ -309,10 +309,10 @@ class ScheduleNode:
         return self.m is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchedulePlan:
     """One node per recursion level, root first and base last, plus the regime
-    constants the plan was built with."""
+    constants the plan was built with; an immutable value, hashed by value."""
 
     params: RegimeParams
     nodes: tuple[ScheduleNode, ...]
@@ -320,7 +320,7 @@ class SchedulePlan:
     q: int = 2
     forced: bool = False
     lattice: LatticeSpec | None = None
-    notes: list = field(default_factory=list)
+    notes: tuple[str, ...] = ()
 
     @property
     def root(self) -> ScheduleNode:
@@ -482,17 +482,17 @@ def plan(
         raise UnreachableTargetError(target_r, below=reached if reached < target_r else None,
                                      above=reached if reached > target_r else None)
 
-    out = SchedulePlan(
+    nodes = _chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
+                   forced=forced_m is not None)
+    return SchedulePlan(
         params=params,
-        nodes=_chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
-                     forced=forced_m is not None),
+        nodes=nodes,
         mode="integer-exact",
         q=q,
         forced=forced_m is not None,
         lattice=LatticeSpec(d, target_r, q),
+        notes=tuple(_warn_on_weak_assumptions(params, nodes)),
     )
-    _warn_on_weak_assumptions(out)
-    return out
 
 
 def _chain(params: RegimeParams, base_r, t_base: float, levels, q: int,
@@ -509,15 +509,15 @@ def _chain(params: RegimeParams, base_r, t_base: float, levels, q: int,
     return tuple(reversed(nodes))
 
 
-def _warn_on_weak_assumptions(p: SchedulePlan) -> None:
-    """Surface (rather than guess around) the polylog small-r1 assumption."""
-    if p.params.regime != POLYLOG:
+def _warn_on_weak_assumptions(params: RegimeParams, nodes: tuple):
+    """Surface (rather than guess around) the polylog small-r1 assumption; yield the notes."""
+    if params.regime != POLYLOG:
         return
-    for node in p.nodes:
-        msg = None if node.is_base else _polylog_shortfall(p.params, node.r1)
+    for node in nodes:
+        msg = None if node.is_base else _polylog_shortfall(params, node.r1)
         if msg:
-            p.notes.append(msg)
             warnings.warn(msg, AssumptionWarning, stacklevel=3)
+            yield msg
 
 
 def _continuous_split(params: RegimeParams, r: float):

@@ -33,13 +33,14 @@ closed form, with no integrator: a basis state acquires phase
 ``exp(-1j * duration * J * w_c * sum_j w_j)`` where ``w_c`` / ``w_j`` are the
 level sums over the control / j-th target mask (popcounts for qubits).  They
 are built on the masked axes of the ``(q,)*n`` view only, never per basis state,
-and a coupling caches only that integer weight block; its complex phases are
-looked up slab by slab, so no full-size phase array exists.
+and only that integer block is cached (:func:`_phase_weights`); its complex
+phases are looked up slab by slab, so no full-size phase array exists.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,8 +66,9 @@ def check_capacity(q: int, n: int, max_amps: int | None = None) -> int:
     cap = DEFAULT_AMP_CAP if max_amps is None else max_amps
     if q < 2 or n < 1:
         raise PreconditionError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
-    # refuse before materializing q**n, which may itself be astronomically large
-    if n * math.log2(q) > 62:
+    # refuse before materializing q**n, which may itself be astronomically large;
+    # n > 62 alone exceeds it (q >= 2), before n meets a float
+    if n > 62 or n * math.log2(q) > 62:
         raise MemoryCapError(
             f"statevector of q**n = {q}**{n} amplitudes exceeds the cap {cap}"
         )
@@ -76,6 +78,18 @@ def check_capacity(q: int, n: int, max_amps: int | None = None) -> int:
             f"statevector of q**n = {q}**{n} = {size} amplitudes exceeds the cap {cap}"
         )
     return size
+
+
+def _check_lattice(lattice: LatticeSpec, max_amps: int | None = None) -> int:
+    """:func:`check_capacity` for a state over ``lattice``, refusing from
+    d * log2(max(side, 2)) first: computing the site count side**d for a huge
+    dimension would never finish."""
+    if lattice.dimension * math.log2(max(lattice.side, 2)) > 62:
+        raise MemoryCapError(
+            f"a lattice of side {lattice.side} in {lattice.dimension} dimensions "
+            f"exceeds the cap"
+        )
+    return check_capacity(lattice.levels, lattice.n_sites, max_amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,8 +131,8 @@ def init_product(
     lattice: LatticeSpec, site_states, max_amps: int | None = None
 ) -> StateVector:
     """Tensor product of per-site states, one q-vector per site in flat order."""
+    _check_lattice(lattice, max_amps)
     q, n = lattice.levels, lattice.n_sites
-    check_capacity(q, n, max_amps)
     states = [np.asarray(s, dtype=np.complex128).reshape(-1) for s in site_states]
     if len(states) != n:
         raise PreconditionError(f"need {n} site states, got {len(states)}")
@@ -135,11 +149,10 @@ def init_product(
 
 def zero_state(lattice: LatticeSpec, max_amps: int | None = None) -> StateVector:
     """All sites in level 0."""
-    q, n = lattice.levels, lattice.n_sites
-    size = check_capacity(q, n, max_amps)
+    size = _check_lattice(lattice, max_amps)
     amps = np.zeros(size, dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(q, n, amps)
+    return StateVector(lattice.levels, lattice.n_sites, amps)
 
 
 def basis_vector(q: int, level: int) -> np.ndarray:
@@ -380,6 +393,15 @@ def _axis_level_sum(q: int, n: int, sites: list, dtype) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=64)
+def _phase_weights(q: int, n: int, control: tuple, targets: tuple) -> np.ndarray:
+    """The read-only block w_c * w_t of these sites, in the smallest dtype holding it."""
+    dtype = np.min_scalar_type((q - 1) ** 2 * len(control) * len(targets))
+    w = _axis_level_sum(q, n, control, dtype) * _axis_level_sum(q, n, targets, dtype)
+    w.flags.writeable = False
+    return w
+
+
 def evolve_phase(
     state: StateVector, coupling: PhaseCoupling, duration: float,
     out: np.ndarray | None = None,
@@ -387,7 +409,7 @@ def evolve_phase(
     """Exact diagonal evolution under the merge coupling for the given duration.
 
     The weights w_c * w_t are an integer block on the (q,)*n view with length
-    q only on the masked sites' axes, cached on the coupling per (q, n).  The
+    q only on the masked sites' axes, from :func:`_phase_weights`.  The
     phases are looked up from it and broadcast against the state, slab by
     slab over its outer axes when the block is wide, into ``out`` if given.
     Negative durations run the evolution backward (the inverse unitary).
@@ -398,16 +420,9 @@ def evolve_phase(
         if mask.size and (mask.min() < 0 or mask.max() >= state.n):
             raise OutOfBoundsError("coupling mask site outside the state")
     q, n = state.q, state.n
-    n_targets = sum(t.size for t in coupling.target_masks)
-    top = (q - 1) ** 2 * coupling.control_mask.size * n_targets  # the largest weight
-    cache = coupling.__dict__.setdefault("_phase_cache", {})
-    w = cache.get((q, n))
-    if w is None:
-        # in the smallest dtype that holds the weights
-        dtype = np.min_scalar_type(top)
-        targets = [s for t in coupling.target_masks for s in t.tolist()]
-        w = cache[(q, n)] = (_axis_level_sum(q, n, coupling.control_mask.tolist(), dtype)
-                             * _axis_level_sum(q, n, targets, dtype))
+    targets = tuple(s for t in coupling.target_masks for s in t.tolist())
+    w = _phase_weights(q, n, tuple(coupling.control_mask.tolist()), targets)
+    top = (q - 1) ** 2 * coupling.control_mask.size * len(targets)  # the largest weight
     # weights are small integers; exponentiate the few distinct values once
     table = np.exp((-1j * duration * coupling.strength) * np.arange(top + 1))
     psi = state.tensor()
@@ -446,8 +461,8 @@ def expected_ghz(
     ``rest`` optionally maps complement flat indices to q-vectors; unlisted
     complement sites stay in |0>.  The default amplitude cap applies.
     """
+    _check_lattice(lattice)
     q, n = lattice.levels, lattice.n_sites
-    check_capacity(q, n)
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if coeffs.size != q:
         raise PreconditionError(f"need {q} coefficients, got {coeffs.size}")

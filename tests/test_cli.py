@@ -203,6 +203,38 @@ class TestTransferCommand:
         assert code == EXIT_PRECONDITION
 
 
+class TestOneCodePerKind:
+    """A value outside a flag's choices is a usage error (2), and a site off
+    the lattice a precondition failure (6), whichever flag names it."""
+
+    RUN = ["--alpha", "2.5", "--r", "4", "--force-m", "2", "--coeff", "1,0"]
+
+    @pytest.mark.parametrize("argv", [
+        ["plan", "--alpha", "2.5", "--r", "20", "--mode", "x"],
+        ["plan", "--alpha", "2.5", "--r", "20", "--format", "x"],
+        ["sweep", "--alphas", "2.5", "--r-values", "4", "--mode", "x"],
+        ["bounds", "--alpha", "2.5", "--n-values", "10", "--format", "x"],
+        ["simulate", *RUN, "--gate-mode", "x"],
+        ["transfer", *RUN, "--target", "3", "--gate-mode", "x"],
+    ])
+    def test_bad_choice_is_usage(self, argv):
+        code, out, err = run_capture(argv)
+        assert code == EXIT_USAGE and out == "", err
+        assert "expected one of" in strict_json(err)["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", *RUN, "--c-site", "9"],
+        ["simulate", *RUN, "--c-site", "-1"],
+        ["transfer", *RUN, "--source", "9", "--target", "3"],
+        ["transfer", *RUN, "--source", "0", "--target", "9"],
+        ["transfer", *RUN, "--source", "0", "--target", "-1"],
+    ])
+    def test_site_off_the_lattice_is_a_precondition_failure(self, argv):
+        code, out, err = run_capture(argv)
+        assert code == EXIT_PRECONDITION and out == "", err
+        assert "outside the lattice" in strict_json(err)["error"]["message"]
+
+
 class TestSweepAndBounds:
     def test_sweep_csv(self):
         code, out, _ = run_capture(
@@ -238,6 +270,32 @@ class TestConfigAndOutput:
         code, out, _ = run_capture(["plan", "--config", str(cfg), "--r", "200"])
         assert code == EXIT_OK
         assert json.loads(out)["nodes"][0]["r"] == 200
+
+    SIMULATE = ["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2",
+                "--coeff", "0.6,0.8"]
+
+    def test_config_boolean(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("verify=no\n")
+        code, out, _ = run_capture([*self.SIMULATE, "--config", str(cfg)])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["final_fidelity"] is None
+        assert [rec["fidelity"] for rec in payload["trace"]] == [None] * 5
+
+    def test_bad_config_boolean(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("verify=maybe\n")
+        code, out, err = run_capture([*self.SIMULATE, "--config", str(cfg)])
+        assert code == EXIT_USAGE and out == ""
+        assert "not a boolean" in strict_json(err)["error"]["message"]
+
+    def test_flag_beats_config_boolean(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("verify=no\n")
+        code, out, _ = run_capture([*self.SIMULATE, "--config", str(cfg), "--verify"])
+        assert code == EXIT_OK
+        assert all(rec["fidelity"] >= 1 - 1e-9 for rec in json.loads(out)["trace"])
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -383,6 +441,8 @@ class TestBoundaryChecks:
          EXIT_PRECONDITION),  # t_total overflows to inf: refused, not printed
         (["plan", "--alpha", "2.01", "--d", "1", "--r", "20"], EXIT_REGIME),
         (["plan", "--alpha", "2.03", "--d", "1", "--r", "20"], EXIT_REGIME),
+        (["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2", "--coeff", "0.6,0.8",
+          "--d", str(2**63)], EXIT_MEMCAP),  # refused before r**d is computed
     ])
     def test_refused_in_time(self, argv, code):
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),

@@ -596,9 +596,11 @@ class TestQuditsAndGateModes:
         lat = chain(8)
         req = request(lat, [0.6, 0.8], [2, 2])
         encode(source_state(lat, 0, [0.6, 0.8]), req, gate_mode="dft")
-        machines = dict(req.plan._machine_cache)
+        before = protocol._machine.cache_info()
         encode(source_state(lat, 0, [0.6, 0.8]), req, gate_mode="hadamard")
-        assert req.plan._machine_cache == machines and len(machines) == 1
+        after = protocol._machine.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert after.currsize == before.currsize
 
     def test_hadamard_mode_needs_q2(self):
         lat = chain(4, q=3)
@@ -648,21 +650,91 @@ class TestCompiledStream:
 
     def test_machine_cache_is_lru(self):
         # 33 side-4 regions on a 40-site chain, machines only (no 2**40 state):
-        # a hit moves its key to the end, a new key evicts the oldest
+        # a hit moves its key to the end, a new key evicts the oldest; 32 new
+        # keys in a row evict whatever earlier tests left in the cache
         lat = chain(40)
         p = plan(2.5, 1, 4, r0=2, forced_m=[2])
         reqs = [EncodeRequest(lat, Region((a,), 4), a, [1, 0], p) for a in range(33)]
+        info = protocol._machine.cache_info
 
         def get(i):
             return protocol._get_machine(reqs[i], protocol.GATE_DFT)
 
         machines = [get(i) for i in range(32)]
+        misses = info().misses
         assert get(0) is machines[0]  # a hit, now the most recent
         last = get(32)  # evicts key 1, the oldest
-        assert len(p._machine_cache) == protocol._MACHINES_PER_PLAN == 32
+        assert info().currsize == info().maxsize == 32
         assert get(32) is last and get(0) is machines[0] and get(2) is machines[2]
+        assert info().misses == misses + 1
         assert get(1) is not machines[1]  # rebuilt, evicting key 3
         assert get(3) is not machines[3]
+        assert info().misses == misses + 3
+
+
+class TestSharedMachines:
+    """Machines are cached per process by value: equal plans share one, and
+    each run still reports the times of its own plan."""
+
+    def test_equal_plans_compile_one_machine(self):
+        lat = chain(16)
+        first, second = (plan(2.5, 1, 16, r0=2, forced_m=[2, 2, 2]) for _ in range(2))
+        assert first is not second and first == second and hash(first) == hash(second)
+        info = protocol._machine.cache_info
+        misses = info().misses
+        machine = protocol._get_machine(
+            EncodeRequest(lat, lat.full_region(), 3, [1, 0], first), protocol.GATE_DFT)
+        assert protocol._get_machine(
+            EncodeRequest(lat, lat.full_region(), 3, [1, 0], second),
+            protocol.GATE_DFT) is machine
+        assert info().misses <= misses + 1  # none if an earlier test compiled it
+
+    @pytest.mark.parametrize("t_bases", [(1, 1.0), (0.0, -0.0)], ids=["int-float", "signed-zero"])
+    def test_equal_plans_print_their_own_times(self, t_bases):
+        # equal plans whose times print differently: a run's trace bytes are
+        # those of a run in a fresh process, whichever plan compiled first
+        lat = chain(4)
+
+        def trace_bytes(t_base):
+            p = plan(2.5, 1, 4, r0=2, forced_m=[2], t_base=t_base)
+            _, trace = state_transfer(source_state(lat, 0, [0.6, 0.8]), 0, 3,
+                                      lat.full_region(), p, lattice=lat)
+            return json.dumps(trace.to_dict())
+
+        fresh = []  # by position: 0.0 and -0.0 are one dict key
+        for t_base in t_bases:
+            protocol._machine.cache_clear()
+            fresh.append(trace_bytes(t_base))
+        assert t_bases[0] == t_bases[1] and fresh[0] != fresh[1]
+        for order in ((0, 1), (1, 0)):
+            protocol._machine.cache_clear()
+            assert [trace_bytes(t_bases[i]) for i in order] == [fresh[i] for i in order]
+            assert protocol._machine.cache_info().misses == 2  # encode and decode machines
+
+    def test_warm_transfers_miss_no_cache(self):
+        # the benchmark's transfer-small lattices: after one transfer each,
+        # further transfers compile no machine and build no weight block
+        cases = [(chain(16), [2, 2, 2], 2.5), (LatticeSpec(2, 4), [2], 4.5),
+                 (chain(8, q=4), [2, 2], 2.5)]
+        runs = []
+        for lat, forced, alpha in cases:
+            p = plan(alpha, lat.dimension, lat.side, r0=2, forced_m=forced, q=lat.levels)
+            state = source_state(lat, 0, np.eye(lat.levels)[1])
+            runs.append((state, lat, p))
+
+        def transfer_all():
+            for state, lat, p in runs:
+                _, trace = state_transfer(state, 0, lat.n_sites - 1, lat.full_region(), p,
+                                          lattice=lat)
+                assert trace.final_fidelity >= FIDELITY_BAR
+
+        transfer_all()
+        misses = (protocol._machine.cache_info().misses,
+                  simulator._phase_weights.cache_info().misses)
+        for _ in range(2):
+            transfer_all()
+        assert (protocol._machine.cache_info().misses,
+                simulator._phase_weights.cache_info().misses) == misses
 
 
 # (d, side, q, alpha, r0, forced_m, fewest monomial blocks per encode from
@@ -698,7 +770,7 @@ def _assert_blocks_fit(q, machine):
     most 256 if it is a gather, from site 0 or from a low stride of at least
     8; every op left unfused is wider than a gather's window."""
     for steps in (machine.steps, machine.inverse_steps):
-        for op in (op for step in steps for op in step[4]):
+        for op in (op for step in steps for op in step[-1]):
             if op[0] == protocol._BLOCK:
                 gate = op[1]
                 if gate.matrix is None:
@@ -733,7 +805,7 @@ class TestFusedStream:
         coeffs = rng.standard_normal(q) + 1j * rng.standard_normal(q)
         coeffs /= np.linalg.norm(coeffs)
         state = source_state(lat, 0, coeffs)
-        unfused = [op for step in machine._compile() for op in step[4]]
+        unfused = [op for step in machine._compile() for op in step[-1]]
         fused, _ = encode(state, req, verify=False)
         want = _replay(state, unfused)
         assert np.max(np.abs(fused.amps - want.amps)) <= 1e-12
@@ -749,7 +821,7 @@ class TestFusedStream:
     @pytest.mark.parametrize("name", [n for n, c in FUSED_CASES.items() if c[-1]])
     def test_passes_per_encode(self, name):
         _lat, _req, machine = _fused_machine(name)
-        assert sum(len(step[4]) for step in machine.steps) <= FUSED_CASES[name][-1]
+        assert sum(len(step[-1]) for step in machine.steps) <= FUSED_CASES[name][-1]
 
     def test_real_blocks_share_their_inverse(self):
         # a transfer 0 -> 19 on chain20 runs 35 dense blocks; the 14 real ones
@@ -759,7 +831,7 @@ class TestFusedStream:
         n = FUSED_CASES["chain20"][1]
         steps = (_fused_machine("chain20")[2].steps
                  + _fused_machine("chain20", n - 1)[2].inverse_steps)
-        blocks = [op[1:] for step in steps for op in step[4]
+        blocks = [op[1:] for step in steps for op in step[-1]
                   if op[0] == protocol._BLOCK and op[1].matrix is not None]
         assert len(blocks) == 35
         strided_real = 0
@@ -786,7 +858,7 @@ class TestFusedStream:
         for c, fewest in zip((0, n - 1), FUSED_CASES[name][-2]):
             machine = _fused_machine(name, c)[2]
             forward, inverse = (
-                [op[1] for step in steps for op in step[4]
+                [op[1] for step in steps for op in step[-1]
                  if op[0] == protocol._BLOCK and op[1]._perm is not None]
                 for steps in (machine.steps, machine.inverse_steps))
             assert len(forward) == len(inverse) >= fewest
@@ -835,7 +907,7 @@ class TestFusedStream:
         # gather alone: no q**k x q**k array
         _lat, _req, machine = _fused_machine("grid4x4", c)
         gates = [gate for steps in (machine.steps, machine.inverse_steps)
-                 for step in steps for op in step[4] if op[0] == protocol._BLOCK
+                 for step in steps for op in step[-1] if op[0] == protocol._BLOCK
                  for gate in op[1:] if gate._perm is not None]
         assert gates
         for gate in gates:
@@ -852,7 +924,7 @@ class TestFusedStream:
         machine = protocol._get_machine(req, protocol.GATE_DFT)
         _assert_blocks_fit(q, machine)
         state = source_state(lat, 0, np.eye(q)[1])
-        unfused = [op for step in machine._compile() for op in step[4]]
+        unfused = [op for step in machine._compile() for op in step[-1]]
         fused, _ = encode(state, req, verify=False)
         assert np.max(np.abs(fused.amps - _replay(state, unfused).amps)) <= 1e-12
 
@@ -881,7 +953,7 @@ for d, side, alpha, r0, forced in [(1, 16, 2.5, 2, [2, 2, 2]), (2, 4, 4.5, 4, []
                         plan(alpha, d, side, r0=r0, forced_m=forced))
     before = tracer.passes
     tracer.run_op(encode, state, req)
-    compiled = sum(len(step[4]) for step in _get_machine(req, GATE_DFT).steps)
+    compiled = sum(len(step[-1]) for step in _get_machine(req, GATE_DFT).steps)
     out.append((tracer.passes - before, compiled))
 print(out)
 """

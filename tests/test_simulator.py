@@ -448,9 +448,12 @@ class TestEvolvePhase:
                 for _warm in range(2):  # cold build, then the cached block
                     got = evolve_phase(state, coup, duration)
                     assert np.array_equal(got.amps, self.digit_oracle(state, coup, duration))
-            n_masked = n_ctrl + n_tgt
-            assert all(block.size == q**n_masked
-                       for block in coup.__dict__["_phase_cache"].values())
+            hits = simulator._phase_weights.cache_info().hits
+            block = simulator._phase_weights(q, n, tuple(coup.control_mask.tolist()),
+                                             tuple(np.concatenate(targets).tolist()))
+            assert simulator._phase_weights.cache_info().hits == hits + 1  # evolve_phase's
+            assert block.size == q ** (n_ctrl + n_tgt)
+            assert not block.flags.writeable  # shared by every coupling on these sites
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_bitwise_digit_oracle_2d_masks(self, q):
@@ -543,7 +546,10 @@ class TestOutBuffer:
             # the same products as one full-size phase vector would give
             got = evolve_phase(state, coup, duration).amps
             assert np.array_equal(got, TestEvolvePhase.digit_oracle(state, coup, duration))
-        assert all(w.dtype == np.uint8 for w in coup._phase_cache.values())
+        hits = simulator._phase_weights.cache_info().hits
+        w = simulator._phase_weights(q, n, tuple(control), tuple(sum(targets, [])))
+        assert simulator._phase_weights.cache_info().hits == hits + 1  # evolve_phase's
+        assert w.dtype == np.uint8 and w.size == q ** (len(control) + sum(map(len, targets)))
 
     def test_refusals(self):
         state = random_state(2, 6)
@@ -671,6 +677,19 @@ class TestCapacityAndDump:
     def test_refusal_without_materializing(self):
         with pytest.raises(MemoryCapError):
             check_capacity(2, 10**9)
+        with pytest.raises(MemoryCapError):  # too many bits to meet a float
+            check_capacity(2, 10**600)
+
+    @pytest.mark.parametrize("lattice", [
+        LatticeSpec(100, 10**6),  # 10**600 sites: too many bits to meet a float
+        LatticeSpec(2**63, 4),  # 4**(2**63) sites: never computed
+    ], ids=["huge-site-count", "huge-dimension"])
+    def test_refused_before_counting_sites(self, lattice):
+        # a region of 2**63 coordinates cannot exist, and the refusal comes first
+        for build in (lambda: init_product(lattice, []), lambda: zero_state(lattice),
+                      lambda: expected_ghz(None, lattice, [1, 0])):
+            with pytest.raises(MemoryCapError):
+                build()
 
     def test_custom_cap(self):
         with pytest.raises(MemoryCapError):
