@@ -272,7 +272,7 @@ def _make_plan_and_state(o: dict, *sites: int):
     """The lattice, plan, coefficients and product state of a run whose source
     is ``sites[0]``; every site in ``sites`` must lie on the lattice."""
     lattice = LatticeSpec(o["d"], o["r"], o["q"])
-    simulator._check_lattice(lattice, o["max-amps"])
+    simulator.check_capacity(lattice, o["max-amps"])
     p = scheduler.plan(
         o["alpha"], o["d"], o["r"], r0=o["r0"], q=o["q"], forced_m=o["force-m"]
     )

@@ -601,8 +601,8 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     The ops ping-pong between two working buffers allocated once per run: each
     writes into the one its source does not use.  The input is never written
     unless ``overwrite`` says no caller can see it, in which case it serves as
-    one of the two.  A state handed to ``on_step`` is never overwritten, so
-    with ``on_step`` every op allocates its own output instead.
+    one of the two.  A state handed to ``on_step`` is never overwritten: its
+    buffer is given up to the hook, so the next op takes a fresh one.
     """
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
@@ -614,10 +614,8 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     spare, owned = None, overwrite  # the next op's output; whether state's is ours
     for i, (level, step, regions, ops) in enumerate(steps):
         for op in ops:
-            out = None
-            if on_step is None:
-                out = np.empty_like(state.amps) if spare is None else spare
-                spare, owned = (state.amps if owned else None), True
+            out = np.empty_like(state.amps) if spare is None else spare
+            spare, owned = (state.amps if owned else None), True
             state = _apply(state, op, out)
         fid = None
         if verify:
@@ -627,6 +625,7 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
         trace.records.append(rec)
         if on_step is not None:
             on_step(rec, state)
+            owned = False
     return state, trace
 
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -56,40 +56,26 @@ _UNITARY_TOL = 1e-12
 _PHASE_SLAB = 1 << 14
 
 
-def check_capacity(q: int, n: int, max_amps: int | None = None) -> int:
-    """Number of amplitudes q**n, or a MemoryCapError refusal if over the cap.
+def check_capacity(lattice: LatticeSpec, max_amps: int | None = None) -> int:
+    """Number of amplitudes q**n of a state over ``lattice``, or a
+    MemoryCapError refusal if over the cap.
 
     The cap counts amplitudes of one state (16 bytes each).  An encode, decode
     or transfer holds the input plus two working buffers, so its peak is about
     3x that state in bytes.
     """
     cap = DEFAULT_AMP_CAP if max_amps is None else max_amps
-    if q < 2 or n < 1:
-        raise PreconditionError(f"need q >= 2 and n >= 1, got q={q}, n={n}")
-    # refuse before materializing q**n, which may itself be astronomically large;
-    # n > 62 alone exceeds it (q >= 2), before n meets a float
-    if n > 62 or n * math.log2(q) > 62:
-        raise MemoryCapError(
-            f"statevector of q**n = {q}**{n} amplitudes exceeds the cap {cap}"
-        )
+    # refuse before computing side**d or q**n, either of which may never finish
+    if (lattice.dimension * math.log2(max(lattice.side, 2)) > 62
+            or lattice.n_sites * math.log2(lattice.levels) > 62):
+        raise MemoryCapError(f"a statevector over {lattice} exceeds the cap {cap}")
+    q, n = lattice.levels, lattice.n_sites
     size = q**n
     if size > cap:
         raise MemoryCapError(
             f"statevector of q**n = {q}**{n} = {size} amplitudes exceeds the cap {cap}"
         )
     return size
-
-
-def _check_lattice(lattice: LatticeSpec, max_amps: int | None = None) -> int:
-    """:func:`check_capacity` for a state over ``lattice``, refusing from
-    d * log2(max(side, 2)) first: computing the site count side**d for a huge
-    dimension would never finish."""
-    if lattice.dimension * math.log2(max(lattice.side, 2)) > 62:
-        raise MemoryCapError(
-            f"a lattice of side {lattice.side} in {lattice.dimension} dimensions "
-            f"exceeds the cap"
-        )
-    return check_capacity(lattice.levels, lattice.n_sites, max_amps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +117,7 @@ def init_product(
     lattice: LatticeSpec, site_states, max_amps: int | None = None
 ) -> StateVector:
     """Tensor product of per-site states, one q-vector per site in flat order."""
-    _check_lattice(lattice, max_amps)
+    check_capacity(lattice, max_amps)
     q, n = lattice.levels, lattice.n_sites
     states = [np.asarray(s, dtype=np.complex128).reshape(-1) for s in site_states]
     if len(states) != n:
@@ -141,15 +127,15 @@ def init_product(
             raise PreconditionError(f"site {i} state has {s.size} entries, expected {q}")
         if not abs(np.sum(np.abs(s) ** 2) - 1.0) <= _NORM_TOL:
             raise PreconditionError(f"site {i} state is not normalized")
-    amps = np.ones(1, dtype=np.complex128)
-    for s in reversed(states):  # site n-1 is the most significant digit
-        amps = np.kron(amps, s)
-    return StateVector(q, n, amps)
+    # site n-1 is the most significant digit
+    high, low = (reduce(np.kron, reversed(half), np.ones(1, dtype=np.complex128))
+                 for half in (states[n // 2:], states[:n // 2]))
+    return StateVector(q, n, np.multiply.outer(high, low).reshape(-1))
 
 
 def zero_state(lattice: LatticeSpec, max_amps: int | None = None) -> StateVector:
     """All sites in level 0."""
-    size = _check_lattice(lattice, max_amps)
+    size = check_capacity(lattice, max_amps)
     amps = np.zeros(size, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(lattice.levels, lattice.n_sites, amps)
@@ -461,7 +447,7 @@ def expected_ghz(
     ``rest`` optionally maps complement flat indices to q-vectors; unlisted
     complement sites stay in |0>.  The default amplitude cap applies.
     """
-    _check_lattice(lattice)
+    check_capacity(lattice)
     q, n = lattice.levels, lattice.n_sites
     coeffs = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if coeffs.size != q:
@@ -474,14 +460,9 @@ def expected_ghz(
     for level in range(q):
         if coeffs[level] == 0:
             continue
-        branch = np.ones(1, dtype=np.complex128)
-        for s in reversed(range(n)):
-            if s in region_sites:
-                v = basis_vector(q, level)
-            else:
-                v = np.asarray(rest.get(s, basis_vector(q, 0)), dtype=np.complex128)
-            branch = np.kron(branch, v)
-        amps += coeffs[level] * branch
+        states = [basis_vector(q, level) if s in region_sites
+                  else rest.get(s, basis_vector(q, 0)) for s in range(n)]
+        amps += coeffs[level] * init_product(lattice, states).amps
     return StateVector(q, n, amps)
 
 

@@ -676,9 +676,9 @@ class TestCapacityAndDump:
 
     def test_refusal_without_materializing(self):
         with pytest.raises(MemoryCapError):
-            check_capacity(2, 10**9)
-        with pytest.raises(MemoryCapError):  # too many bits to meet a float
-            check_capacity(2, 10**600)
+            check_capacity(LatticeSpec(1, 10**9))
+        with pytest.raises(MemoryCapError):  # 10**600 sites: too many bits to meet a float
+            check_capacity(LatticeSpec(100, 10**6))
 
     @pytest.mark.parametrize("lattice", [
         LatticeSpec(100, 10**6),  # 10**600 sites: too many bits to meet a float
