@@ -62,10 +62,11 @@ def check_capacity(lattice: LatticeSpec, max_amps: int | None = None) -> int:
 
     The cap counts amplitudes of one state (16 bytes each).  An encode, decode
     or transfer holds the input plus two working buffers, so its peak is about
-    3x that state in bytes.
+    3x that state in bytes.  The refusal reads d * log2(max(side, 2)) first,
+    then n * log2(q), so neither side**d nor q**n is computed unless it fits:
+    either may be too large to ever finish.
     """
     cap = DEFAULT_AMP_CAP if max_amps is None else max_amps
-    # refuse before computing side**d or q**n, either of which may never finish
     if (lattice.dimension * math.log2(max(lattice.side, 2)) > 62
             or lattice.n_sites * math.log2(lattice.levels) > 62):
         raise MemoryCapError(f"a statevector over {lattice} exceeds the cap {cap}")
@@ -116,7 +117,12 @@ class StateVector:
 def init_product(
     lattice: LatticeSpec, site_states, max_amps: int | None = None
 ) -> StateVector:
-    """Tensor product of per-site states, one q-vector per site in flat order."""
+    """Tensor product of per-site states, one q-vector per site in flat order.
+
+    The only builder of a product state: the kron products of the high and of
+    the low half of the sites are each about sqrt(q**n) amplitudes, and their
+    outer product is written once, so the build peaks at about one state.
+    """
     check_capacity(lattice, max_amps)
     q, n = lattice.levels, lattice.n_sites
     states = [np.asarray(s, dtype=np.complex128).reshape(-1) for s in site_states]
@@ -445,7 +451,10 @@ def expected_ghz(
     """sum_l a_l |l...l>_region tensored with a product background elsewhere.
 
     ``rest`` optionally maps complement flat indices to q-vectors; unlisted
-    complement sites stay in |0>.  The default amplitude cap applies.
+    complement sites stay in |0>, and a key that is not a lattice site outside
+    the region is refused.  Each branch is an :func:`init_product` state, so
+    the build peaks at about two states beside the sum.  The default
+    amplitude cap applies.
     """
     check_capacity(lattice)
     q, n = lattice.levels, lattice.n_sites
@@ -456,6 +465,9 @@ def expected_ghz(
         raise PreconditionError("coefficients are not normalized")
     region_sites = set(site_mask(region, lattice).tolist())
     rest = {} if rest is None else {int(k): v for k, v in rest.items()}
+    stray = sorted(s for s in rest if not 0 <= s < n or s in region_sites)
+    if stray:
+        raise PreconditionError(f"rest sites {stray} are not lattice sites outside the region")
     amps = np.zeros(q**n, dtype=np.complex128)
     for level in range(q):
         if coeffs[level] == 0:

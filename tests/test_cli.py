@@ -175,6 +175,9 @@ class TestTransferCommand:
             return make(matrix, site)
 
         def session(tag):
+            # machines are cached by value across tests and sessions; compile
+            # this session's own, gathered or dense
+            protocol._machine.cache_clear()
             files = {}
             for token in (7, 2024, 918273645):
                 coeff, out = f"random:{token}", tmp_path / f"{tag}-{token}"
@@ -282,6 +285,13 @@ class TestConfigAndOutput:
         payload = json.loads(out)
         assert payload["final_fidelity"] is None
         assert [rec["fidelity"] for rec in payload["trace"]] == [None] * 5
+
+    def test_config_boolean_true(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("verify=yes\n")
+        code, out, _ = run_capture([*self.SIMULATE, "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert all(rec["fidelity"] >= 1 - 1e-9 for rec in json.loads(out)["trace"])
 
     def test_bad_config_boolean(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import itertools
 import json
 import math
@@ -408,6 +409,23 @@ class TestStateTransfer:
             state_transfer(source_state(lat, 0, [1, 0]), 0, 9,
                            lat.full_region(), p, lattice=lat)
 
+    def test_site_on_the_lattice_outside_region(self):
+        lat = chain(4)
+        p = plan(2.5, 1, 4, r0=2, forced_m=[2])
+        with pytest.raises(OutOfBoundsError):  # site 3 is outside sites 0..1
+            state_transfer(source_state(lat, 0, [1, 0]), 0, 3, Region((0,), 2), p, lattice=lat)
+
+    def test_lattice_from_the_plan(self):
+        lat = chain(4)
+        p = plan(2.5, 1, 4, r0=2, forced_m=[2])
+        out, trace = state_transfer(source_state(lat, 0, [0.6, 0.8]), 0, 3,
+                                    lat.full_region(), p)
+        assert trace.final_fidelity == 1.0
+        assert fidelity(out, source_state(lat, 3, [0.6, 0.8])) >= FIDELITY_BAR
+        continuous = plan(2.5, 1, 4.0, mode="continuous-analytic")
+        with pytest.raises(PlanMismatchError):  # it has no lattice
+            state_transfer(source_state(lat, 0, [1, 0]), 0, 3, lat.full_region(), continuous)
+
     @staticmethod
     def _outside_the_region(case):
         # an 8-chain whose region is sites 0..3: (input, moved state) with
@@ -601,6 +619,12 @@ class TestQuditsAndGateModes:
         after = protocol._machine.cache_info()
         assert (after.hits, after.misses) == (before.hits + 1, before.misses)
         assert after.currsize == before.currsize
+
+    def test_unknown_gate_mode(self):
+        lat = chain(4)
+        req = request(lat, [0.6, 0.8], [2])
+        with pytest.raises(PreconditionError, match="unknown gate mode"):
+            encode(source_state(lat, 0, [0.6, 0.8]), req, gate_mode="x")
 
     def test_hadamard_mode_needs_q2(self):
         lat = chain(4, q=3)
@@ -995,17 +1019,20 @@ class TestSparseVerification:
         captured = []
 
         def capture(rec, state):
-            captured.append((rec.fidelity, state))
+            # a digest, not a copy, of each state: chain20 hands over 37 of 16 MiB
+            captured.append((rec.fidelity, state, hashlib.sha256(state.amps).digest()))
 
         kicked = source_state(lat, 0, v * np.exp(1j * kick * np.arange(q)))
         mid, _ = encode(kicked, req, on_step=capture)
         decode(mid, req, on_step=capture)
         targets = forward + forward[-2::-1] + [oracle.initial()]
         assert len(captured) == len(targets)
-        for (fid, state), target in zip(captured, targets):
+        for (fid, state, digest), target in zip(captured, targets):
+            # a state handed to the hook is never overwritten by a later op
+            assert hashlib.sha256(state.amps).digest() == digest
             assert abs(fid - fidelity(state, target)) <= 1e-12
         if kick:
-            assert max(fid for fid, _ in captured) < 1 - 1e-3
+            assert max(fid for fid, *_ in captured) < 1 - 1e-3
 
     def test_nan_off_the_support_reads_nan(self):
         lat = chain(4)
@@ -1034,6 +1061,29 @@ class TestSparseVerification:
             encode(source_state(lat, 0, [0.6, 0.8]), req, on_step=plant)
         # nothing was recorded once the NaN was in the state
         assert [rec[:2] for rec in seen] == [(0, 1), (1, 2)]
+
+
+class TestWorkingBuffers:
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_full_size_allocations(self, monkeypatch, hooked):
+        # an encode and a decode each allocate their two working buffers; a
+        # hook takes each step's state, so the next op allocates a fresh one
+        lat, req, _machine = _fused_machine("chain20")
+        state = source_state(lat, 0, req.coefficients)
+        sizes = []
+        empty_like = np.empty_like
+
+        def counted(*args, **kwargs):
+            out = empty_like(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "empty_like", counted)
+        hook = (lambda rec, s: None) if hooked else None
+        mid, _ = encode(state, req, on_step=hook)
+        decode(mid, req, on_step=hook)
+        full = sizes.count(state.amps.size)
+        assert full <= 20 if hooked else full == 4
 
 
 class TestInputsUntouched:
@@ -1104,7 +1154,6 @@ def _encode_rss_child(n: int, forced: list[int], verify: bool = True,
                 f"lattice=lat, verify={verify})")
     check = "trace.final_fidelity >= 1 - 1e-9" if verify else "trace.final_fidelity is None"
     return f"""
-import resource
 import numpy as np
 from ghzlattice import LatticeSpec, basis_vector, init_product, plan
 from ghzlattice.protocol import EncodeRequest, encode, state_transfer
@@ -1115,58 +1164,47 @@ states[0] = coeffs
 state = init_product(lat, states)
 req = EncodeRequest(lat, lat.full_region(), 0, coeffs,
                     plan(2.5, 1, {n}, r0=2, forced_m={forced}))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_rss()
 _, trace = {call}
-after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+after = peak_rss()
 assert {check}
-print((after - before) * 1024)
+print(after - before)
 """
 
 
 _ENCODE_RSS_CHILD = _encode_rss_child(20, [2, 5])
 
 
-def _rss_growth(script: str) -> int:
-    """Run a peak-RSS child script against the source tree; its printed growth."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_encode_peak_memory_2_20():
+@pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
+def test_encode_peak_memory_2_20(rss_growth):
     """A 2^20 encode grows its process's peak RSS by at most 6 states (16 MiB
     each): merge phases hold only the masked axes, stray-mass checks read
     slices of the state, and no full-size index array is built."""
-    assert _rss_growth(_ENCODE_RSS_CHILD) <= 6 * 16 * 2**20
+    assert rss_growth(_ENCODE_RSS_CHILD) <= 6 * 16 * 2**20
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_encode_peak_memory_2_22():
+@pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
+def test_encode_peak_memory_2_22(rss_growth):
     """The 2^22 encode (64 MiB states) also stays within 6 states of peak-RSS growth."""
-    assert _rss_growth(_encode_rss_child(22, [11])) <= 6 * 64 * 2**20
+    assert rss_growth(_encode_rss_child(22, [11])) <= 6 * 64 * 2**20
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_transfer_verify_memory_2_22():
+@pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
+def test_transfer_verify_memory_2_22(rss_growth):
     """Verification adds at most 5% to the peak-RSS growth of a 2^22 transfer:
     it gathers each step's few thousand support amplitudes and builds no dense
     expected state."""
-    off, on = (_rss_growth(_encode_rss_child(22, [11], verify=v, target=21))
+    off, on = (rss_growth(_encode_rss_child(22, [11], verify=v, target=21))
                for v in (False, True))
     assert on <= 1.05 * off, (on, off)
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_transfer_peak_memory_2_22():
+@pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
+def test_transfer_peak_memory_2_22(rss_growth):
     """A verified 2^22 transfer grows peak RSS by at most 3 states (64 MiB
     each): its ops ping-pong between two working buffers, decode reuses the
     encoded intermediate, and no full-size phase vector is cached."""
-    assert _rss_growth(_encode_rss_child(22, [11], target=21)) <= 3 * 64 * 2**20
+    assert rss_growth(_encode_rss_child(22, [11], target=21)) <= 3 * 64 * 2**20
 
 
 # (d, q, r0, forced_m) with at most 2**12 amplitudes

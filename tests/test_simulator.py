@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from functools import reduce
 
 import numpy as np
@@ -90,6 +91,72 @@ class TestInitProduct:
     def test_nan_statevector_rejected(self):
         with pytest.raises(PreconditionError):
             StateVector(2, 1, np.array([np.nan, 1.0]))
+
+    def test_statevector_wrong_size_rejected(self):
+        with pytest.raises(PreconditionError, match="amplitude count 3"):
+            StateVector(2, 2, np.ones(3) / math.sqrt(3))
+
+    @pytest.mark.parametrize("states,message", [
+        ([basis_vector(2, 0)] * 2, "need 1 site states, got 2"),
+        ([np.array([1.0, 0.0, 0.0])], "site 0 state has 3 entries"),
+    ], ids=["count", "size"])
+    def test_wrong_shape_rejected(self, states, message):
+        with pytest.raises(PreconditionError, match=message):
+            init_product(LatticeSpec(1, 1), states)
+
+    @staticmethod
+    def kron_chain(states):
+        """Reference product: one kron per site, site n-1 first."""
+        amps = np.ones(1, dtype=np.complex128)
+        for s in reversed(states):
+            amps = np.kron(amps, s)
+        return amps
+
+    # q**n stays small: 3**16 would be a 688 MiB reference chain
+    @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 5), (2, 16),
+                                     (3, 1), (3, 2), (3, 5), (3, 10)])
+    def test_matches_kron_chain(self, q, n):
+        rng = np.random.default_rng(100 * q + n)
+
+        def unit():
+            v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+            return v / np.linalg.norm(v)
+
+        lattice = LatticeSpec(1, n, q)
+        # basis vectors plus one coefficient: every amplitude is the same
+        # product in either grouping, so equal as a float (nonzero ones bit for
+        # bit; a zero may differ in sign only)
+        states = [basis_vector(q, int(level)) for level in rng.integers(q, size=n)]
+        states[int(rng.integers(n))] = unit()
+        got = init_product(lattice, states).amps
+        assert np.array_equal(got, self.kron_chain(states))
+        states = [unit() for _ in range(n)]
+        got = init_product(lattice, states).amps
+        assert np.max(np.abs(got - self.kron_chain(states))) <= 1e-15
+
+
+_BUILD_RSS_CHILD = """
+import numpy as np
+from ghzlattice import LatticeSpec, expected_ghz, init_product
+lat = LatticeSpec(1, 22)
+states = [np.array([0.6, 0.8j])] + [np.array([1.0, 0.0])] * 21
+before = peak_rss()
+{build}
+after = peak_rss()
+print(after - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
+@pytest.mark.parametrize("build,most", [
+    ("init_product(lat, states)", 1.1),
+    ("expected_ghz(lat.full_region(), lat, [0.6, 0.8j])", 3.1),
+], ids=["init_product", "expected_ghz"])
+def test_build_peak_memory_2_22(rss_growth, build, most):
+    """A 2^22 product state (64 MiB) grows peak RSS by about one state: the
+    halves' kron products hold 2^11 amplitudes each, and their outer product
+    is written once.  A GHZ target adds its q branches into one sum."""
+    assert rss_growth(_BUILD_RSS_CHILD.format(build=build)) <= most * 64 * 2**20
 
 
 class TestGates:
@@ -657,6 +724,17 @@ class TestExpectedGhz:
         assert state.amps[0b100] == pytest.approx(0.6 / math.sqrt(2))
         assert state.amps[0b011] == pytest.approx(0.8 / math.sqrt(2))
         assert state.amps[0b111] == pytest.approx(0.8 / math.sqrt(2))
+
+    @pytest.mark.parametrize("rest,message", [
+        ({2: [1, 0, 0]}, "site 2 state has 3 entries"),
+        ({99: [1, 0]}, r"rest sites \[99\]"),
+        ({-1: [1, 0]}, r"rest sites \[-1\]"),
+        ({0: [1, 0]}, r"rest sites \[0\]"),
+    ], ids=["wrong-size", "off-lattice", "negative", "inside-region"])
+    def test_bad_rest_rejected(self, rest, message):
+        # rest maps lattice sites outside the region to q-vectors
+        with pytest.raises(PreconditionError, match=message):
+            expected_ghz(Region((0,), 2), LatticeSpec(1, 3), [0.6, 0.8], rest=rest)
 
     def test_unnormalized_rejected(self):
         lat = LatticeSpec(1, 2)
