@@ -16,11 +16,11 @@ window blocks, and the increments and phases too wide for a window.  Fusion
 never crosses a step, so every step ends on the same state as the unfused ops
 would give.
 
-Encode replays the steps forward.  Decode replays them in reverse order with
-every op inverted (a block by its conjugate transpose, an increment by a
-decrement, a phase by its negated duration), and checks each step against the
-expected state before it.  Transfer is an encode followed by a decode aimed at
-another site.
+Encode runs the steps forward.  Decode walks the same list backwards,
+inverting each step's ops as it goes (a block by its conjugate transpose, an
+increment by a decrement, a phase by its negated duration), and checks each
+step against the expected state before it.  Transfer is an encode followed by
+a decode aimed at another site, whose records extend the encode's trace.
 
 Execution is level-synchronous: all base cubes encode first, then each merge
 level runs its four steps (phase merge, target decode, single-site gate,
@@ -52,7 +52,7 @@ otherwise); each target child concentrates onto its anchor site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, lru_cache
 
 import numpy as np
@@ -64,7 +64,7 @@ from .errors import (
     StatePreconditionError,
 )
 from .geometry import LatticeSpec, Region, euclidean_diameter_bound, partition, site_mask
-from .scheduler import SchedulePlan, merge_duration
+from .scheduler import SchedulePlan
 from .simulator import (
     Gate,
     PhaseCoupling,
@@ -132,35 +132,23 @@ class StepRecord:
     regions: tuple[Region, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "step": self.step,
-            "inverse": self.inverse,
-            "elapsed": self.elapsed,
-            "fidelity": self.fidelity,
-            "regions": [{"anchor": list(r.anchor), "side": r.side} for r in self.regions],
-        }
+        return asdict(self)
 
 
 @dataclass
 class ProtocolTrace:
     """Per-step record of one protocol run."""
 
-    records: list = field(default_factory=list)
     total_time: float = 0.0
     final_fidelity: float | None = None
     forced: bool = False
+    records: list = field(default_factory=list)
 
     def elapsed_sum(self) -> float:
         return sum(rec.elapsed for rec in self.records)
 
     def to_dict(self) -> dict:
-        return {
-            "total_time": self.total_time,
-            "final_fidelity": self.final_fidelity,
-            "forced": self.forced,
-            "records": [rec.to_dict() for rec in self.records],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -344,11 +332,11 @@ class _Machine:
 
     ``steps`` is the encode as a flat list with one entry per trace record,
     ``(level, step, regions, ops)``, each step's ops fused into window blocks
-    (``_compile`` returns them unfused); ``inverse_steps`` is the decode, the
-    same list reversed with every op list inverted; ``terms`` are the
-    verification terms.  All are independent of the encoded coefficients, so
-    machines are shared by equal requests through :func:`_machine`; they hold
-    nothing that differs in bits between equal plans, such as step times.
+    (``_compile`` returns them unfused), which a decode walks backwards;
+    ``terms`` are the verification terms.  All are independent of the encoded
+    coefficients, so machines are shared by equal requests through
+    :func:`_machine`; they hold nothing that differs in bits between equal
+    plans, such as step times (a merge's ``t2``, a positive float, does not).
     """
 
     def __init__(self, lattice: LatticeSpec, region: Region, c: int, plan: SchedulePlan):
@@ -369,7 +357,6 @@ class _Machine:
         alpha = plan.params.alpha
         for level in range(self.n_levels, 0, -1):
             node = nodes[level]
-            duration = merge_duration(alpha, plan.params.d, node.m, node.r1, q=plan.q)
             for cube in self.cubes[level]:
                 kids = partition(cube, node.m, c=self.info_site(cube))
                 control, targets = kids[0], tuple(kids[1:])
@@ -380,13 +367,10 @@ class _Machine:
                 )
                 coupling.check_power_law(lattice, alpha)
                 gate_sites = tuple(lattice.flat_index(t.anchor) for t in targets)
-                self.merges[cube] = _Merge(control, targets, coupling, duration,
-                                           gate_sites)
+                self.merges[cube] = _Merge(control, targets, coupling, node.t2, gate_sites)
                 self.cubes[level - 1].extend([control, *targets])
         self.steps = [(level, step, regions, _fuse(self.q, ops))
                       for level, step, regions, ops in self._compile()]
-        self.inverse_steps = [(level, step, regions, _inverted(ops))
-                              for level, step, regions, ops in reversed(self.steps)]
 
     def info_site(self, cube: Region) -> tuple[int, ...]:
         return self.c_coord if cube.contains(self.c_coord) else cube.anchor
@@ -544,16 +528,19 @@ def _check_fits(state: StateVector, lattice: LatticeSpec) -> None:
         )
 
 
-def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) -> None:
-    """Refuse a state with weight on disallowed basis states.
+def _check_stray_mass(state: StateVector, req: EncodeRequest, inverse: bool) -> None:
+    """Refuse a state the run cannot start from.
 
-    kind "nonzero": any listed site away from |0>.
-    kind "unequal": listed sites not all at the same level (outside GHZ span).
-    The allowed mass is read off slices of the (q,)*n view.
+    An encode needs every region site other than c at level 0; a decode needs
+    the whole region at one level, the GHZ-like span.  The allowed mass is read
+    off slices of the (q,)*n view.
     """
+    sites = site_mask(req.region, req.lattice).tolist()
+    if not inverse:
+        sites.remove(req.c)
     q, n, psi = state.q, state.n, state.tensor()
     kept = 0.0
-    for level in (0,) if kind == "nonzero" else range(q):
+    for level in range(q) if inverse else (0,):
         sel: list = [slice(None)] * n
         for s in sites:
             sel[n - 1 - s] = level
@@ -561,6 +548,8 @@ def _check_stray_mass(state: StateVector, sites: tuple, kind: str, what: str) ->
         kept += float(np.vdot(block, block).real)
     mass = float(np.vdot(state.amps, state.amps).real) - kept
     if not mass <= 1e-10:
+        what = ("region is not in the GHZ-like span" if inverse
+                else "region sites other than c are not in |0>")
         raise StatePreconditionError(f"{what}: stray mass {mass:.3e}")
 
 
@@ -586,7 +575,8 @@ def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
          on_step, inverse: bool,
          overwrite: bool = False) -> tuple[StateVector, ProtocolTrace]:
-    """Replay the compiled steps: forward to encode, inverted to decode.
+    """Check the start state, then run the compiled steps: forward to encode,
+    backwards with each step's ops inverted to decode.
 
     A forward step is checked against the expected state after it; an inverted
     step against the state before it, which is the expected state after the
@@ -604,16 +594,18 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     one of the two.  A state handed to ``on_step`` is never overwritten: its
     buffer is given up to the hook, so the next op takes a fresh one.
     """
+    _check_stray_mass(state, req, inverse)
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
-    steps = machine.inverse_steps if inverse else machine.steps
-    times = _step_times(req.plan)[::-1 if inverse else 1]
+    times = _step_times(req.plan)
+    order = range(len(machine.steps))
     if verify:
         _check_fits(state, req.lattice)
-        checks = machine.terms[-2::-1] if inverse else machine.terms[1:]
+        checks = machine.terms[:-1] if inverse else machine.terms[1:]
     spare, owned = None, overwrite  # the next op's output; whether state's is ours
-    for i, (level, step, regions, ops) in enumerate(steps):
-        for op in ops:
+    for i in reversed(order) if inverse else order:
+        level, step, regions, ops = machine.steps[i]
+        for op in _inverted(ops) if inverse else ops:
             out = np.empty_like(state.amps) if spare is None else spare
             spare, owned = (state.amps if owned else None), True
             state = _apply(state, op, out)
@@ -643,8 +635,6 @@ def encode(
     against its analytic expected state; ``on_step(record, state)`` is called
     after each step if given.
     """
-    others = tuple(s for s in site_mask(req.region, req.lattice).tolist() if s != req.c)
-    _check_stray_mass(state, others, "nonzero", "region sites other than c are not in |0>")
     return _run(state, req, verify, gate_mode, on_step, inverse=False)
 
 
@@ -665,10 +655,7 @@ def decode(
     unchanged; only ``state_transfer``, whose encoded intermediate no caller
     sees, lets decode write into it.
     """
-    sites = tuple(site_mask(req.region, req.lattice).tolist())
-    _check_stray_mass(state, sites, "unequal", "region is not in the GHZ-like span")
-    return _run(state, req, verify, gate_mode, on_step, inverse=True,
-                overwrite=_overwrite)
+    return _run(state, req, verify, gate_mode, on_step, inverse=True, overwrite=_overwrite)
 
 
 def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest) -> float:
@@ -712,7 +699,8 @@ def state_transfer(
     inverse encode targeted at c_prime.  Only ``verify`` reads the coefficients
     off the state, so it needs every site but c in |0>; the applied unitaries
     never depend on them.  The decode writes into the encoded intermediate, so
-    a transfer holds the input plus two working buffers.
+    a transfer holds the input plus two working buffers.  The trace is the
+    encode's, extended by the decode's records, time and final fidelity.
     """
     if lattice is None:
         if plan.lattice is None:
@@ -726,13 +714,10 @@ def state_transfer(
     coeffs = (_extract_site_coefficients(state, c) if verify
               else basis_vector(lattice.levels, 0))
     req_in = EncodeRequest(lattice, region, c, coeffs, plan)
-    state, trace_enc = encode(state, req_in, verify=verify, gate_mode=gate_mode)
+    state, trace = encode(state, req_in, verify=verify, gate_mode=gate_mode)
     req_out = EncodeRequest(lattice, region, c_prime, coeffs, plan)
-    state, trace_dec = decode(state, req_out, verify=verify, gate_mode=gate_mode,
-                              _overwrite=True)
-    return state, ProtocolTrace(
-        records=trace_enc.records + trace_dec.records,
-        total_time=2 * plan.t_total,
-        final_fidelity=trace_dec.final_fidelity,
-        forced=plan.forced,
-    )
+    state, back = decode(state, req_out, verify=verify, gate_mode=gate_mode, _overwrite=True)
+    trace.records += back.records
+    trace.total_time += back.total_time  # t + t is 2*t bit for bit
+    trace.final_fidelity = back.final_fidelity
+    return state, trace

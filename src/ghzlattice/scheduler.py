@@ -29,7 +29,7 @@ import itertools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import (
     PoleError,
@@ -408,12 +408,8 @@ class SchedulePlan:
             "t_base": self.params.t_base,
             "levels": self.levels,
             "t_total": self.t_total,
-            "nodes": [
-                {"r": node.r, "r1": node.r1, "m": node.m, "t1": node.t1, "t2": node.t2,
-                 "t_total": node.t_total, "forced": node.forced,
-                 "n_children": n_children(node.m)}
-                for node in self.nodes
-            ],
+            "nodes": [{**asdict(node), "n_children": n_children(node.m)}
+                      for node in self.nodes],
         }
 
 

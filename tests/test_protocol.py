@@ -781,6 +781,12 @@ def _fused_machine(name, c=0):
     return lat, req, protocol._get_machine(req, protocol.GATE_DFT)
 
 
+def _inverse_steps(machine):
+    """The steps a decode runs: the machine's steps backwards, each op list
+    inverted."""
+    return [(*step[:-1], protocol._inverted(step[-1])) for step in reversed(machine.steps)]
+
+
 def _gather_matrix(gate):
     """The dense matrix of a gate given by its gather."""
     dim = gate._perm.size
@@ -793,7 +799,7 @@ def _assert_blocks_fit(q, machine):
     """Every block spans at most 64 amplitudes if it holds a dense gate and at
     most 256 if it is a gather, from site 0 or from a low stride of at least
     8; every op left unfused is wider than a gather's window."""
-    for steps in (machine.steps, machine.inverse_steps):
+    for steps in (machine.steps, _inverse_steps(machine)):
         for op in (op for step in steps for op in step[-1]):
             if op[0] == protocol._BLOCK:
                 gate = op[1]
@@ -854,7 +860,7 @@ class TestFusedStream:
         # same matrix; a complex block's inverse is a conjugated copy
         n = FUSED_CASES["chain20"][1]
         steps = (_fused_machine("chain20")[2].steps
-                 + _fused_machine("chain20", n - 1)[2].inverse_steps)
+                 + _inverse_steps(_fused_machine("chain20", n - 1)[2]))
         blocks = [op[1:] for step in steps for op in step[-1]
                   if op[0] == protocol._BLOCK and op[1].matrix is not None]
         assert len(blocks) == 35
@@ -884,7 +890,7 @@ class TestFusedStream:
             forward, inverse = (
                 [op[1] for step in steps for op in step[-1]
                  if op[0] == protocol._BLOCK and op[1]._perm is not None]
-                for steps in (machine.steps, machine.inverse_steps))
+                for steps in (machine.steps, _inverse_steps(machine)))
             assert len(forward) == len(inverse) >= fewest
             for gate in forward + inverse:
                 mat = _gather_matrix(gate) if gate.matrix is None else gate.matrix
@@ -930,7 +936,7 @@ class TestFusedStream:
         # a compiled 4x4 machine holds each monomial block, both ways, as its
         # gather alone: no q**k x q**k array
         _lat, _req, machine = _fused_machine("grid4x4", c)
-        gates = [gate for steps in (machine.steps, machine.inverse_steps)
+        gates = [gate for steps in (machine.steps, _inverse_steps(machine))
                  for step in steps for op in step[-1] if op[0] == protocol._BLOCK
                  for gate in op[1:] if gate._perm is not None]
         assert gates
