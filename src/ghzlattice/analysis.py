@@ -97,18 +97,21 @@ def scaling_sweep(
     return rows
 
 
+def _slope(x: np.ndarray, ts) -> float:
+    """Least-squares slope of log t against x."""
+    if x.size < 2:
+        raise PreconditionError("need at least two points to fit a slope")
+    return float(np.polyfit(x, np.log(np.asarray(ts, dtype=float)), 1)[0])
+
+
 def fit_loglog_slope(rs, ts) -> float:
     """Least-squares slope of log t against log r."""
-    rs, ts = np.asarray(rs, dtype=float), np.asarray(ts, dtype=float)
-    if rs.size < 2:
-        raise PreconditionError("need at least two points to fit a slope")
-    return float(np.polyfit(np.log(rs), np.log(ts), 1)[0])
+    return _slope(np.log(np.asarray(rs, dtype=float)), ts)
 
 
 def fit_sqrtlog_slope(rs, ts) -> float:
     """Least-squares slope of log t against sqrt(log r)."""
-    rs, ts = np.asarray(rs, dtype=float), np.asarray(ts, dtype=float)
-    return float(np.polyfit(np.sqrt(np.log(rs)), np.log(ts), 1)[0])
+    return _slope(np.sqrt(np.log(np.asarray(rs, dtype=float))), ts)
 
 
 def fitted_exponent(alpha: float, d: int, r_lo: float, r_hi: float, n_points: int = 16) -> float:

@@ -194,15 +194,21 @@ def k_alpha_min(
 
 
 def bound_kernel(alpha: float, d: int, r, kappa_factor: float = 4.0) -> float:
-    """The envelope with unit prefactor: log**kappa r, e**(g*sqrt(log r)), r**(a-2d)."""
+    """The envelope with unit prefactor: log**kappa r, e**(g*sqrt(log r)), r**(a-2d).
+
+    The power envelope takes any real r > 0, which a continuous plan's base
+    side can be; the others need r >= 1.
+    """
     reg = regime(alpha, d)
+    if reg == POWER:
+        if r <= 0:
+            raise PreconditionError(f"r must be > 0, got {r}")
+        return float(r) ** (alpha - 2 * d)
     if r < 1:
         raise PreconditionError(f"r must be >= 1, got {r}")
     if reg == POLYLOG:
         return math.log(r) ** _kappa(alpha, d, kappa_factor)
-    if reg == STRETCHED:
-        return math.exp(_gamma(d) * math.sqrt(math.log(r)))
-    return float(r) ** (alpha - 2 * d)
+    return math.exp(_gamma(d) * math.sqrt(math.log(r)))
 
 
 @dataclass(frozen=True)
@@ -456,15 +462,15 @@ def plan(
     params = make_params(
         alpha, d, r0=r0, K_alpha=K_alpha, t_base=t_base, kappa_factor=kappa_factor
     )
+    if q < 2:
+        raise PreconditionError(f"q must be >= 2, got {q}")
+    if target_r < r0:
+        raise PreconditionError(f"target side {target_r} below base side {r0}")
     if mode == "continuous-analytic":
         return _continuous_plan(params, target_r, q=q)
     if mode != "integer-exact":
         raise PreconditionError(f"unknown mode {mode!r}")
-    if q < 2:
-        raise PreconditionError(f"q must be >= 2, got {q}")
     target_r = int(target_r)
-    if target_r < r0:
-        raise PreconditionError(f"target side {target_r} below base side {r0}")
 
     if forced_m is not None:
         ms = [int(m) for m in forced_m]
@@ -564,8 +570,6 @@ def _continuous_base(params: RegimeParams, rho: float, q: int) -> float:
 
 def _continuous_plan(params: RegimeParams, target_r, q: int = 2) -> SchedulePlan:
     target_r = float(target_r)
-    if target_r < params.r0:
-        raise PreconditionError(f"target side {target_r} below base side {params.r0}")
     if params.regime == POLYLOG and params.r0 <= 1:
         raise PreconditionError("polylog continuous mode needs base r0 > 1")
 

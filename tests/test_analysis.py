@@ -106,6 +106,11 @@ class TestExponentFits:
         slope = fit_sqrtlog_slope(rs, ts)
         assert abs(slope - 3.0) <= 0.3  # within 10% of gamma = 3*sqrt(1)
 
+    @pytest.mark.parametrize("fit", [fit_loglog_slope, fit_sqrtlog_slope])
+    def test_one_point_refused(self, fit):
+        with pytest.raises(PreconditionError, match="two points"):
+            fit([2.0], [1.0])
+
     def test_polylog_decades_decreasing(self):
         exps = decade_exponents(1.5, 1, 2, 8)
         assert all(b < a for a, b in zip(exps, exps[1:]))

@@ -67,6 +67,26 @@ class TestPlanCommand:
         assert code == EXIT_OK
         assert json.loads(out)["mode"] == "continuous-analytic"
 
+    @pytest.mark.parametrize("alpha", [2.25, 2.5, 3.0])
+    @pytest.mark.parametrize("r", [3.0, 37.3, 700.0])
+    def test_continuous_power_json_where_csv(self, alpha, r):
+        # the power base side r0/m**k may fall below 1: the JSON certificate
+        # takes it, as the CSV always did
+        argv = ["plan", "--alpha", str(alpha), "--r", str(r), "--mode",
+                "continuous-analytic"]
+        assert run_capture([*argv, "--format", "csv"])[0] == EXIT_OK
+        code, out, err = run_capture(argv)
+        assert code == EXIT_OK, err
+        assert all(rec["ok"] for rec in json.loads(out)["certificate"])
+
+    @pytest.mark.parametrize("mode", ["integer-exact", "continuous-analytic"])
+    @pytest.mark.parametrize("q", ["0", "1", "-3"])
+    def test_q_below_two_refused(self, mode, q):
+        code, out, err = run_capture(
+            ["plan", "--alpha", "2.5", "--r", "20", "--q", q, "--mode", mode])
+        assert code == EXIT_PRECONDITION and out == "", err
+        assert "q must be >= 2" in strict_json(err)["error"]["message"]
+
     def test_notes_in_json(self):
         with pytest.warns(AssumptionWarning):
             code, out, _ = run_capture(
@@ -247,6 +267,27 @@ class TestSweepAndBounds:
         assert code == EXIT_OK
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 6
+
+    def test_sweep_continuous(self):
+        code, out, err = run_capture(
+            ["sweep", "--alphas", "1.5,2.5", "--r-values", "4,37.5,1000",
+             "--mode", "continuous-analytic"])
+        assert code == EXIT_OK, err
+        rows = strict_json(out)
+        assert len(rows) == 6
+        assert all(row["mode"] == "continuous-analytic" and row["certified"] is False
+                   for row in rows)
+
+    def test_non_finite_result_refused(self, tmp_path):
+        # t_bound overflows at r = 1e308: the JSON dump refuses it, and
+        # neither stdout nor the --out file gets a partial table
+        out_file = tmp_path / "sweep.json"
+        for extra in ([], ["--out", str(out_file)]):
+            code, out, err = run_capture(
+                ["sweep", "--alphas", "3", "--r-values", "1e308", *extra])
+            assert code == EXIT_PRECONDITION and out == "", err
+            assert "result is not finite" in strict_json(err)["error"]["message"]
+        assert not out_file.exists()
 
     def test_bounds_row(self):
         code, out, _ = run_capture(
