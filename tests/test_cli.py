@@ -77,7 +77,9 @@ class TestPlanCommand:
         assert run_capture([*argv, "--format", "csv"])[0] == EXIT_OK
         code, out, err = run_capture(argv)
         assert code == EXIT_OK, err
-        assert all(rec["ok"] for rec in json.loads(out)["certificate"])
+        payload = json.loads(out)
+        assert payload["nodes"][-1]["r"] < 1
+        assert all(rec["ok"] for rec in payload["certificate"])
 
     @pytest.mark.parametrize("mode", ["integer-exact", "continuous-analytic"])
     @pytest.mark.parametrize("q", ["0", "1", "-3"])

@@ -449,25 +449,12 @@ class TestContinuousMode:
             t = protocol_time(alpha, 1, 1e300)
             assert math.isfinite(t) and t > 0
 
-    @pytest.mark.parametrize("alpha, r", [(3.0, 3.0), (2.5, 37.3), (2.25, 700.0)])
-    def test_power_base_below_one_is_certified(self, alpha, r):
-        # a power plan's base side r0/m**k can fall below 1; the power
-        # envelope takes it, and every node meets it
-        p = plan(alpha, 1, r, mode="continuous-analytic")
-        assert p.nodes[-1].r < 1
-        assert all(rec["ok"] for rec in p.certify())
-
     def test_power_envelope_takes_any_positive_r(self):
+        # a continuous power plan's base side r0/m**k can fall below 1
         assert bound_kernel(3.0, 1, 0.25) == 0.25
         for alpha, r in ((3.0, 0.0), (3.0, -1.0), (2.0, 0.5), (1.5, 0.5)):
             with pytest.raises(PreconditionError):
                 bound_kernel(alpha, 1, r)
-
-    @pytest.mark.parametrize("mode", ["integer-exact", "continuous-analytic"])
-    @pytest.mark.parametrize("q", [0, 1, -3])
-    def test_q_below_two_refused_in_every_mode(self, mode, q):
-        with pytest.raises(PreconditionError, match="q must be >= 2"):
-            plan(2.5, 1, 20, q=q, mode=mode)
 
     def test_target_below_base_refused_in_every_mode(self):
         for mode in ("integer-exact", "continuous-analytic"):
