@@ -99,9 +99,11 @@ def scaling_sweep(
 
 def _slope(x: np.ndarray, ts) -> float:
     """Least-squares slope of log t against x."""
-    if x.size < 2:
-        raise PreconditionError("need at least two points to fit a slope")
-    return float(np.polyfit(x, np.log(np.asarray(ts, dtype=float)), 1)[0])
+    ts = np.asarray(ts, dtype=float)
+    if x.size < 2 or ts.shape != x.shape:
+        raise PreconditionError("need one t per r and at least two points to fit a "
+                                f"slope, got {x.size} r and {ts.size} t")
+    return float(np.polyfit(x, np.log(ts), 1)[0])
 
 
 def fit_loglog_slope(rs, ts) -> float:

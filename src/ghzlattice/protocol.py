@@ -144,9 +144,6 @@ class ProtocolTrace:
     forced: bool = False
     records: list = field(default_factory=list)
 
-    def elapsed_sum(self) -> float:
-        return sum(rec.elapsed for rec in self.records)
-
     def to_dict(self) -> dict:
         return asdict(self)
 

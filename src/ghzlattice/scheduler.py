@@ -102,17 +102,39 @@ def _polylog_threshold(alpha: float, d: int) -> float:
     return math.pi * (2.0 * math.sqrt(d)) ** alpha
 
 
-def _polylog_shortfall(params: RegimeParams, r1) -> str | None:
-    """None where the polylog simplifying assumption
-    K*log(r1)**kappa >= pi*(2*sqrt(d))**alpha holds at child side r1, else why not."""
-    lhs = params.K_alpha * math.log(r1) ** params.kappa_alpha
-    rhs = _polylog_threshold(params.alpha, params.d)
-    if lhs * (1 + 1e-12) >= rhs:
-        return None
-    return (
-        f"K*log(r1)**kappa = {lhs:.4g} < pi*(2*sqrt(d))**alpha = {rhs:.4g} "
-        f"at r1={r1}; the polylog envelope is not guaranteed here"
-    )
+def _audit(params: RegimeParams, node: ScheduleNode) -> dict[str, str]:
+    """Each failed precondition of a merge node by check name: ``pole`` (power m
+    at or below the pole), ``K`` (below its regime minimum), ``m`` (outside its
+    interval), ``polylog`` (the simplifying assumption) or ``r1`` (stretched,
+    below exp(8/d)); each as the note ``"<check> at r=<r>: <why>"``."""
+    if node.is_base:
+        return {}  # the base case holds by fiat
+    p, m, r1 = params, node.m, node.r1
+    slack = 1 + 1e-12
+    failed = {}
+    try:
+        kmin = k_alpha_min(p.alpha, p.d, m=m, r0=p.r0, kappa_factor=p.kappa_factor)
+        if not p.K_alpha * slack >= kmin:
+            failed["K"] = f"K={p.K_alpha:.4g} is below the regime minimum {kmin:.4g}"
+    except PoleError as exc:
+        failed["pole"] = str(exc)
+    except PreconditionError as exc:  # the polylog minimum needs r0 > 1
+        failed["K"] = f"K={p.K_alpha:.4g} has no regime minimum: {exc}"
+    if p.regime != POWER:
+        lower, upper = _merge_interval(p.alpha, p.d, r1)
+        above = lower < m if p.regime == POLYLOG else lower / slack <= m  # polylog: open
+        if not (above and m <= upper * slack):
+            failed["m"] = f"m={m} is outside the interval {lower:.4g} to {upper:.4g} at r1={r1}"
+    if p.regime == POLYLOG:
+        lhs = p.K_alpha * math.log(r1) ** p.kappa_alpha
+        rhs = _polylog_threshold(p.alpha, p.d)
+        if not lhs * slack >= rhs:
+            failed["polylog"] = (
+                f"K*log(r1)**kappa = {lhs:.4g} < pi*(2*sqrt(d))**alpha = {rhs:.4g} "
+                f"at r1={r1}; the polylog envelope is not guaranteed here")
+    elif p.regime == STRETCHED and not r1 * slack >= math.exp(8.0 / p.d):
+        failed["r1"] = f"r1={r1} is below exp(8/d) ~ {math.exp(8.0 / p.d):.4g}"
+    return {check: f"{check} at r={node.r}: {why}" for check, why in failed.items()}
 
 
 def choose_m(alpha: float, d: int, r1) -> int:
@@ -196,16 +218,16 @@ def k_alpha_min(
 def bound_kernel(alpha: float, d: int, r, kappa_factor: float = 4.0) -> float:
     """The envelope with unit prefactor: log**kappa r, e**(g*sqrt(log r)), r**(a-2d).
 
-    The power envelope takes any real r > 0, which a continuous plan's base
-    side can be; the others need r >= 1.
+    The power envelope takes any finite r > 0, which a continuous plan's base
+    side can be; the others need a finite r >= 1.
     """
     reg = regime(alpha, d)
     if reg == POWER:
-        if r <= 0:
-            raise PreconditionError(f"r must be > 0, got {r}")
+        if not 0 < r < math.inf:
+            raise PreconditionError(f"r must be finite and > 0, got {r}")
         return float(r) ** (alpha - 2 * d)
-    if r < 1:
-        raise PreconditionError(f"r must be >= 1, got {r}")
+    if not 1 <= r < math.inf:
+        raise PreconditionError(f"r must be finite and >= 1, got {r}")
     if reg == POLYLOG:
         return math.log(r) ** _kappa(alpha, d, kappa_factor)
     return math.exp(_gamma(d) * math.sqrt(math.log(r)))
@@ -345,8 +367,10 @@ class SchedulePlan:
         """Per-node bound check: t_total <= K*kernel(r), plus precondition audit.
 
         The inequality is the per-level recursion guarantee; it is only claimed
-        when K meets the regime minimum and the merge factor of every level sits
-        in the prescribed interval (``preconditions_met``).
+        where ``preconditions_met``: the node's audit finds no failed check (m
+        above the power pole, K at or above its regime minimum, m in its
+        interval, the polylog assumption, the stretched r1 >= exp(8/d)).  An
+        integer-exact plan's ``notes`` name each failed check of each node.
         """
         recs = []
         for node in self.nodes:
@@ -357,7 +381,7 @@ class SchedulePlan:
                     "t_total": node.t_total,
                     "bound": bound,
                     "ok": node.t_total <= bound * (1 + _REL_EPS),
-                    "preconditions_met": self._node_preconditions(node),
+                    "preconditions_met": not _audit(self.params, node),
                 }
             )
         return recs
@@ -365,27 +389,6 @@ class SchedulePlan:
     @property
     def certified(self) -> bool:
         return all(rec["ok"] and rec["preconditions_met"] for rec in self.certify())
-
-    def _node_preconditions(self, node: ScheduleNode) -> bool:
-        p = self.params
-        if node.is_base:
-            return True  # base case holds by fiat
-        m, r1 = node.m, node.r1
-        slack = 1 + 1e-12
-        try:  # k_alpha_min raises PoleError for an m at or below the power pole
-            kmin = k_alpha_min(p.alpha, p.d, m=m, r0=p.r0, kappa_factor=p.kappa_factor)
-        except (PoleError, PreconditionError):
-            return False
-        if p.regime == POWER:
-            return p.K_alpha * slack >= kmin
-        lower, upper = _merge_interval(p.alpha, p.d, r1)
-        if p.regime == POLYLOG:
-            in_interval = lower < m <= upper * slack
-            assumption = _polylog_shortfall(p, r1) is None
-        else:
-            in_interval = lower / slack <= m <= upper * slack
-            assumption = r1 * slack >= math.exp(8.0 / p.d)
-        return in_interval and assumption and p.K_alpha * slack >= kmin
 
     def to_dict(self) -> dict:
         """JSON-ready plan; ``nodes`` lists the levels root first, like the CSV rows.
@@ -486,6 +489,10 @@ def plan(
 
     nodes = _chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
                    forced=forced_m is not None)
+    audits = [_audit(params, node) for node in nodes]
+    for audit in audits:  # only the polylog assumption warns; every failed check notes
+        if "polylog" in audit:
+            warnings.warn(audit["polylog"], AssumptionWarning, stacklevel=2)
     return SchedulePlan(
         params=params,
         nodes=nodes,
@@ -493,7 +500,7 @@ def plan(
         q=q,
         forced=forced_m is not None,
         lattice=LatticeSpec(d, target_r, q),
-        notes=tuple(_warn_on_weak_assumptions(params, nodes)),
+        notes=tuple(note for audit in audits for note in audit.values()),
     )
 
 
@@ -509,17 +516,6 @@ def _chain(params: RegimeParams, base_r, t_base: float, levels, q: int,
         nodes.append(ScheduleNode(r=r, r1=below.r, m=m, t1=below.t_total, t2=t2,
                                   t_total=3.0 * below.t_total + t2, forced=forced))
     return tuple(reversed(nodes))
-
-
-def _warn_on_weak_assumptions(params: RegimeParams, nodes: tuple):
-    """Surface (rather than guess around) the polylog small-r1 assumption; yield the notes."""
-    if params.regime != POLYLOG:
-        return
-    for node in nodes:
-        msg = None if node.is_base else _polylog_shortfall(params, node.r1)
-        if msg:
-            warnings.warn(msg, AssumptionWarning, stacklevel=3)
-            yield msg
 
 
 def _continuous_split(params: RegimeParams, r: float):

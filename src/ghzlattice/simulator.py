@@ -103,12 +103,6 @@ class StateVector:
             raise PreconditionError(f"state norm**2 = {norm2!r} deviates from 1")
         object.__setattr__(self, "_norm2", norm2)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.q, self.n, self.amps.copy())
-
-    def norm2(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
     def tensor(self) -> np.ndarray:
         """View shaped (q,)*n; site s sits on axis n-1-s."""
         return self.amps.reshape((self.q,) * self.n)

@@ -108,8 +108,9 @@ class TestExponentFits:
 
     @pytest.mark.parametrize("fit", [fit_loglog_slope, fit_sqrtlog_slope])
     def test_one_point_refused(self, fit):
-        with pytest.raises(PreconditionError, match="two points"):
-            fit([2.0], [1.0])
+        for rs, ts in (([2.0], [1.0]), ([2, 4, 8], [1, 2])):  # one t per r, too
+            with pytest.raises(PreconditionError, match="two points"):
+                fit(rs, ts)
 
     def test_polylog_decades_decreasing(self):
         exps = decade_exponents(1.5, 1, 2, 8)

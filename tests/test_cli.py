@@ -96,7 +96,10 @@ class TestPlanCommand:
             )
         assert code == EXIT_OK
         notes = json.loads(out)["notes"]
-        assert notes and all("not guaranteed" in note for note in notes)
+        # K = 1e-3 fails both the K minimum and the polylog assumption
+        assert any(note.startswith("K at r=8: ") for note in notes)
+        assert any(note.startswith("polylog at r=8: ") and "not guaranteed" in note
+                   for note in notes)
         code, out, _ = run_capture(["plan", "--alpha", "2.5", "--r", "20"])
         assert code == EXIT_OK
         assert json.loads(out)["notes"] == []

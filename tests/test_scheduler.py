@@ -193,6 +193,15 @@ class TestBoundT:
         with pytest.raises(UnsupportedRegimeError):
             replace(params, alpha=3.2).bound(10)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 2.5])
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_refused(self, alpha, r):
+        # NaN fails every comparison, so the guards test for a valid r, not a bad one
+        with pytest.raises(PreconditionError, match="finite"):
+            bound_kernel(alpha, 1, r)
+        with pytest.raises(PreconditionError, match="finite"):
+            make_params(alpha, 1).bound(r)
+
 
 class TestRegimeParams:
     def test_fields_are_the_chosen_values(self):
@@ -509,6 +518,52 @@ class TestPlanTelescoping:
         for node, below in zip(p.nodes, p.nodes[1:]):
             assert node.r1 == below.r
             assert node.t_total == 3 * node.t1 + node.t2
+
+
+def failed_checks(p):
+    """The check names a plan's notes carry: "pole" from "pole at r=20: ..."."""
+    return {note.split(" at r=")[0] for note in p.notes}
+
+
+# (plan args, plan keywords, the checks its audit fails)
+AUDIT_CASES = [
+    ((2.5, 1, 20), {"forced_m": [2, 5]}, {"pole"}),
+    ((2.5, 1, 20), {"K_alpha": 1e-3}, {"K"}),  # m = 10 sits above the pole
+    ((1.5, 1, 6), {"forced_m": [3]}, {"m"}),  # the interval at r1 = 2 ends at 2.52
+    ((1.5, 1, 8), {"K_alpha": 1e-3}, {"K", "polylog"}),
+    ((1.5, 1, 8), {"r0": 1, "K_alpha": 1.0}, {"K", "polylog"}),  # no minimum at r0 = 1
+    ((2.0, 1, 8), {"forced_m": [4]}, {"r1"}),  # m = 4 is in [3.49, 6.97]
+    ((2.0, 1, 4), {"forced_m": [2]}, {"m", "r1"}),
+    ((2.5, 1, 20), {}, set()),
+    ((1.5, 1, ladder_target(1.5, 1, 2, 3)), {}, set()),
+    ((2.0, 1, 208670), {"r0": 2981}, set()),
+]
+
+
+class TestAudit:
+    @pytest.mark.parametrize("args,kw,checks", AUDIT_CASES)
+    def test_failed_checks_named(self, args, kw, checks):
+        p = quiet_plan(*args, **kw)
+        assert failed_checks(p) == checks
+        assert p.certified == (not checks)
+        for rec in p.certify():  # preconditions_met exactly where the node has no note
+            noted = any(f" at r={rec['r']}: " in note for note in p.notes)
+            assert rec["preconditions_met"] == (not noted), (rec, p.notes)
+
+    def test_only_the_polylog_assumption_warns(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AssumptionWarning)
+            for args, kw, checks in AUDIT_CASES:
+                if "polylog" not in checks:
+                    assert failed_checks(plan(*args, **kw)) == checks
+        with pytest.warns(AssumptionWarning, match="not guaranteed") as caught:
+            p = plan(1.5, 1, 8, r0=2, K_alpha=1e-3)
+        assert [str(w.message) for w in caught] == [
+            note for note in p.notes if note.startswith("polylog")]
+
+    def test_continuous_plans_carry_no_notes(self):
+        p = plan(1.5, 1, 1000.5, K_alpha=1e-3, mode="continuous-analytic")
+        assert p.notes == ()
 
 
 class TestTStar:
