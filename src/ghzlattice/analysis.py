@@ -16,6 +16,7 @@ from .scheduler import (
     SchedulePlan,
     gate_count_upper,
     plan,
+    protocol_time,
     t_star,
     table1_curves,
 )
@@ -48,12 +49,12 @@ def _resolve_plan(alpha: float, d: int, r, mode: str, r0: int) -> SchedulePlan:
     if mode == CONTINUOUS:
         return plan(alpha, d, r, r0=r0, mode=CONTINUOUS)
     if mode == INTEGER_EXACT:
-        return plan(alpha, d, int(r), r0=r0, mode=INTEGER_EXACT)
+        return plan(alpha, d, r, r0=r0, mode=INTEGER_EXACT)
     if mode != AUTO:
         raise PreconditionError(f"unknown sweep mode {mode!r}")
     try:
         if float(r).is_integer():
-            return plan(alpha, d, int(r), r0=r0, mode=INTEGER_EXACT)
+            return plan(alpha, d, r, r0=r0, mode=INTEGER_EXACT)
     except (UnreachableTargetError, PreconditionError):
         # unreachable size, or a merge-rule precondition (e.g. the alpha = 2d
         # rule needs r0 >= exp(8/d)); sample the continuous curve instead
@@ -118,7 +119,9 @@ def fit_sqrtlog_slope(rs, ts) -> float:
 
 def fitted_exponent(alpha: float, d: int, r_lo: float, r_hi: float, n_points: int = 16) -> float:
     """Power-law exponent of the continuous-analytic t(r) from base side 2,
-    fitted on a log-spaced window."""
+    fitted on a log-spaced window 0 < r_lo < r_hi."""
+    if not 0 < r_lo < r_hi < math.inf:
+        raise PreconditionError(f"need a window 0 < r_lo < r_hi < inf, got {r_lo} to {r_hi}")
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), n_points)
     ts = [plan(alpha, d, r, r0=2, mode=CONTINUOUS).t_total for r in rs]
     return fit_loglog_slope(rs, ts)
@@ -137,33 +140,12 @@ def _prev_best_exponent(alpha: float, d: int) -> float:
     return alpha - d if alpha < d + 1 else 1.0
 
 
-def _speedup(alpha: float, d: int, r, r0: int) -> tuple[float, float, float]:
+def _speedup(alpha: float, d: int, r) -> tuple[float, float, float]:
     """(t_prev_best, t_protocol, their ratio) at side r; the protocol curve
-    starts at r0, so it is sampled at max(r, r0)."""
+    starts at base side 2, so it is sampled at max(r, 2)."""
     t_prev = table1_curves(alpha, d, r)["encode_prev_best"]
-    t_proto = plan(alpha, d, max(float(r), float(r0)), r0=r0, mode=CONTINUOUS).t_total
+    t_proto = protocol_time(alpha, d, max(float(r), 2.0))
     return t_prev, t_proto, t_prev / t_proto
-
-
-def speedup_crossover(
-    alpha: float, d: int, r0: int = 2, r_max: float = 1e100
-) -> float | None:
-    """Smallest sampled r, four per decade, from which t_prev_best / t_protocol
-    stays >= 1.
-
-    Returns None when the sampled grid never reaches a stable crossover.
-    """
-    n = int(4 * math.log10(r_max / r0)) + 1
-    rs = np.logspace(math.log10(float(r0)), math.log10(r_max), n)
-    ratios = [_speedup(alpha, d, r, r0)[2] for r in rs]
-    crossover = None
-    for r, ratio in zip(rs, ratios):
-        if ratio >= 1.0:
-            if crossover is None:
-                crossover = float(r)
-        else:
-            crossover = None
-    return crossover
 
 
 def speedup_report(alpha: float, d: int, r) -> dict:
@@ -184,11 +166,11 @@ def speedup_report(alpha: float, d: int, r) -> dict:
         ratio = 1.0
         t_prev = t_proto = None
     else:
-        t_prev, t_proto, ratio = _speedup(alpha, d, r, 2)
+        t_prev, t_proto, ratio = _speedup(alpha, d, r)
 
     anchors = [max(float(r), 20.0) * f for f in (1.0, 1e3, 1e6)]
     window_exponents = [fitted_exponent(alpha, d, a, 32.0 * a, n_points=8) for a in anchors]
-    window_ratios = [_speedup(alpha, d, a, 2)[2] for a in anchors]
+    window_ratios = [_speedup(alpha, d, a)[2] for a in anchors]
     drifting_to_zero = all(
         b < a - 1e-3 for a, b in zip(window_exponents, window_exponents[1:])
     )
@@ -224,7 +206,7 @@ def gate_bound_table(alpha: float, d: int, n_values) -> list[dict]:
             raise PreconditionError(f"n must be finite and >= 1, got {n}")
         ts = t_star(alpha, d, n)
         lower = float(n)
-        upper = gate_count_upper(alpha, d, n, at_t_star=True)
+        upper = gate_count_upper(alpha, d, n)
         rows.append(
             {
                 "n": float(n),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,12 @@ class LatticeSpec:
     levels: int = 2
 
     def __post_init__(self):
+        for name in ("dimension", "side", "levels"):
+            try:  # any integer type, numpy's included, stored as an int
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise OutOfBoundsError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.dimension < 1:
             raise OutOfBoundsError(f"dimension must be >= 1, got {self.dimension}")
         if self.side < 1:

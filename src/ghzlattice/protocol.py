@@ -517,7 +517,8 @@ def _step_times(plan: SchedulePlan) -> list:
 
 
 def _check_fits(state: StateVector, lattice: LatticeSpec) -> None:
-    """Refuse a state whose shape is not the lattice's (verification indexes it)."""
+    """Refuse a state whose shape is not the lattice's: the ops, the start-state
+    check and verification all index it by the lattice's sites."""
     if (state.q, state.n) != (lattice.levels, lattice.n_sites):
         raise PreconditionError(
             f"state (q={state.q}, n={state.n}) does not fit the lattice "
@@ -572,8 +573,8 @@ def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
          on_step, inverse: bool,
          overwrite: bool = False) -> tuple[StateVector, ProtocolTrace]:
-    """Check the start state, then run the compiled steps: forward to encode,
-    backwards with each step's ops inverted to decode.
+    """Check the start state's shape, then its content, then run the compiled
+    steps: forward to encode, backwards with each step's ops inverted to decode.
 
     A forward step is checked against the expected state after it; an inverted
     step against the state before it, which is the expected state after the
@@ -591,13 +592,13 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     one of the two.  A state handed to ``on_step`` is never overwritten: its
     buffer is given up to the hook, so the next op takes a fresh one.
     """
+    _check_fits(state, req.lattice)
     _check_stray_mass(state, req, inverse)
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
     times = _step_times(req.plan)
     order = range(len(machine.steps))
     if verify:
-        _check_fits(state, req.lattice)
         checks = machine.terms[:-1] if inverse else machine.terms[1:]
     spare, owned = None, overwrite  # the next op's output; whether state's is ours
     for i in reversed(order) if inverse else order:
@@ -655,17 +656,6 @@ def decode(
     return _run(state, req, verify, gate_mode, on_step, inverse=True, overwrite=_overwrite)
 
 
-def verify_step(state: StateVector, level: int, step_id: int, req: EncodeRequest) -> float:
-    """Fidelity of the live state against the analytic state, which depends on
-    the geometry alone, after step ``step_id`` of ``level`` (see ``_run``)."""
-    _check_fits(state, req.lattice)
-    machine = _get_machine(req, GATE_DFT)
-    for (lv, step, *_), terms in zip(machine.steps, machine.terms[1:]):
-        if (lv, step) == (level, step_id):
-            return _overlap(state, terms, req.coefficients)
-    raise PreconditionError(f"the protocol has no step {step_id} at level {level}")
-
-
 def _extract_site_coefficients(state: StateVector, site: int) -> np.ndarray:
     """Read off the source-site amplitudes when every other site is in |0>."""
     coeffs = np.array(
@@ -703,6 +693,7 @@ def state_transfer(
         if plan.lattice is None:
             raise PlanMismatchError("state_transfer needs a lattice")
         lattice = plan.lattice
+    _check_fits(state, lattice)
     for s in (c, c_prime):
         if not region.contains(lattice.coord(s)):
             raise OutOfBoundsError(f"site {s} lies outside the region")

@@ -147,8 +147,8 @@ def choose_m(alpha: float, d: int, r1) -> int:
                unsupported where alpha is so close to 2d that this overflows
     """
     reg = regime(alpha, d)
-    if r1 < 1:
-        raise PreconditionError(f"r1 must be >= 1, got {r1}")
+    if not 1 <= r1 < math.inf:
+        raise PreconditionError(f"r1 must be finite and >= 1, got {r1}")
     if reg == POWER:
         try:
             return math.floor(3.0 ** (1.0 / (alpha - 2 * d))) + 1
@@ -173,6 +173,8 @@ def merge_duration(alpha: float, d: int, m, r1, q: int = 2) -> float:
     """
     if not (0 < m < math.inf and 0 < r1 < math.inf):
         raise PreconditionError(f"m and r1 must be finite and > 0, got m={m}, r1={r1}")
+    if q < 2:
+        raise PreconditionError(f"q must be >= 2, got {q}")
     return (2.0 / q) * (math.pi * d ** (alpha / 2.0) * float(m) ** alpha
                         * float(r1) ** (alpha - 2.0 * d))
 
@@ -287,8 +289,8 @@ def make_params(
     precision, raises UnsupportedRegimeError.
     """
     reg = regime(alpha, d)
-    if r0 < 1:
-        raise PreconditionError(f"base side r0 must be >= 1, got {r0}")
+    if not 1 <= r0 < math.inf:
+        raise PreconditionError(f"base side r0 must be finite and >= 1, got {r0}")
     if K_alpha is not None and not 0.0 < K_alpha < math.inf:
         raise PreconditionError(f"K_alpha must be finite and > 0, got {K_alpha}")
     if t_base is not None and not 0.0 <= t_base < math.inf:
@@ -348,7 +350,6 @@ class SchedulePlan:
     q: int = 2
     forced: bool = False
     lattice: LatticeSpec | None = None
-    notes: tuple[str, ...] = ()
 
     @property
     def root(self) -> ScheduleNode:
@@ -369,8 +370,8 @@ class SchedulePlan:
         The inequality is the per-level recursion guarantee; it is only claimed
         where ``preconditions_met``: the node's audit finds no failed check (m
         above the power pole, K at or above its regime minimum, m in its
-        interval, the polylog assumption, the stretched r1 >= exp(8/d)).  An
-        integer-exact plan's ``notes`` name each failed check of each node.
+        interval, the polylog assumption, the stretched r1 >= exp(8/d)).
+        :attr:`notes` names each failed check of each node.
         """
         recs = []
         for node in self.nodes:
@@ -389,6 +390,12 @@ class SchedulePlan:
     @property
     def certified(self) -> bool:
         return all(rec["ok"] and rec["preconditions_met"] for rec in self.certify())
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        """Each node's failed precondition checks, root first, as :func:`_audit`
+        words them; empty exactly where every node meets its preconditions."""
+        return tuple(note for node in self.nodes for note in _audit(self.params, node).values())
 
     def to_dict(self) -> dict:
         """JSON-ready plan; ``nodes`` lists the levels root first, like the CSV rows.
@@ -473,7 +480,8 @@ def plan(
         return _continuous_plan(params, target_r, q=q)
     if mode != "integer-exact":
         raise PreconditionError(f"unknown mode {mode!r}")
-    target_r = int(target_r)
+    if float(target_r).is_integer():
+        target_r = int(target_r)  # a refusal names side 50, not 50.0; 20.9 stays 20.9
 
     if forced_m is not None:
         ms = [int(m) for m in forced_m]
@@ -489,9 +497,8 @@ def plan(
 
     nodes = _chain(params, r0, params.t_base, zip(sizes[1:], ms), q,
                    forced=forced_m is not None)
-    audits = [_audit(params, node) for node in nodes]
-    for audit in audits:  # only the polylog assumption warns; every failed check notes
-        if "polylog" in audit:
+    for node in nodes:  # only the polylog assumption warns; every failed check notes
+        if "polylog" in (audit := _audit(params, node)):
             warnings.warn(audit["polylog"], AssumptionWarning, stacklevel=2)
     return SchedulePlan(
         params=params,
@@ -499,8 +506,7 @@ def plan(
         mode="integer-exact",
         q=q,
         forced=forced_m is not None,
-        lattice=LatticeSpec(d, target_r, q),
-        notes=tuple(note for audit in audits for note in audit.values()),
+        lattice=LatticeSpec(d, sizes[-1], q),
     )
 
 
@@ -595,8 +601,8 @@ def t_star(alpha: float, d: int, n) -> float:
     n**(alpha/d - 2).
     """
     reg = regime(alpha, d)
-    if n < 1:
-        raise PreconditionError(f"n must be >= 1, got {n}")
+    if not 1 <= n < math.inf:
+        raise PreconditionError(f"n must be finite and >= 1, got {n}")
     if reg == POLYLOG:
         return math.log(n) ** _kappa(alpha, d, 4.0)
     if reg == STRETCHED:
@@ -604,28 +610,16 @@ def t_star(alpha: float, d: int, n) -> float:
     return float(n) ** (alpha / d - 2.0)
 
 
-def gate_count_upper(
-    alpha: float, d: int, n, t: float = 1.0, at_t_star: bool = False
-) -> float:
-    """Leading-order Trotter gate-count upper bound (o(1) exponents dropped).
-
-    General t: n**2 * t for d < alpha <= 2d, (n*t)**(1 + d/(alpha-d)) above.
-    With ``at_t_star`` the bound is specialized at t = t_star: n**2 below 2d,
-    n**(alpha/d) above.
-    """
-    if not alpha > d:
-        raise UnsupportedRegimeError(f"alpha={alpha} <= d={d} is out of scope")
-    if n < 1 or t < 0:
-        raise PreconditionError(f"need n >= 1 and t >= 0, got n={n}, t={t}")
+def gate_count_upper(alpha: float, d: int, n) -> float:
+    """Leading-order Trotter gate-count upper bound at t = t_star (o(1) exponents
+    dropped): n**2 for d < alpha <= 2d, n**(alpha/d) above."""
+    reg = regime(alpha, d)  # t_star only exists for d < alpha <= 2d+1
+    if not 1 <= n < math.inf:
+        raise PreconditionError(f"n must be finite and >= 1, got {n}")
     try:
-        if at_t_star:
-            regime(alpha, d)  # t_star only exists for alpha <= 2d+1
-            return float(n) ** 2 if alpha <= 2 * d else float(n) ** (alpha / d)
-        if alpha <= 2 * d:
-            return float(n) ** 2 * t
-        return (float(n) * t) ** (1.0 + d / (alpha - d))
+        return float(n) ** 2 if reg != POWER else float(n) ** (alpha / d)
     except OverflowError:
-        raise PreconditionError(f"gate-count bound overflows at n={n}, t={t}") from None
+        raise PreconditionError(f"gate-count bound overflows at n={n}") from None
 
 
 def table1_curves(alpha: float, d: int, r) -> dict:

@@ -133,14 +133,6 @@ def init_product(
     return StateVector(q, n, np.multiply.outer(high, low).reshape(-1))
 
 
-def zero_state(lattice: LatticeSpec, max_amps: int | None = None) -> StateVector:
-    """All sites in level 0."""
-    size = check_capacity(lattice, max_amps)
-    amps = np.zeros(size, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(lattice.levels, lattice.n_sites, amps)
-
-
 def basis_vector(q: int, level: int) -> np.ndarray:
     v = np.zeros(q, dtype=np.complex128)
     v[level] = 1.0
@@ -206,10 +198,6 @@ def _monomial(mat: np.ndarray) -> tuple:
     perm = np.argmax(nonzero, axis=1)
     phases = mat[np.arange(perm.size), perm]
     return perm, None if np.all(phases == 1) else phases
-
-
-def hadamard_matrix() -> np.ndarray:
-    return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
 
 def _root_of_unity(k: int, q: int) -> complex:

@@ -11,7 +11,6 @@ from ghzlattice.analysis import (
     fitted_exponent,
     gate_bound_table,
     scaling_sweep,
-    speedup_crossover,
     speedup_report,
 )
 from ghzlattice.cli import run
@@ -20,7 +19,7 @@ from ghzlattice.errors import (
     UnreachableTargetError,
     UnsupportedRegimeError,
 )
-from ghzlattice.scheduler import plan, protocol_time, table1_curves
+from ghzlattice.scheduler import choose_m, merge_duration, plan, protocol_time, t_star
 
 
 def cli_csv(tmp_path, argv) -> list[list[str]]:
@@ -147,32 +146,6 @@ class TestSpeedupReport:
         with pytest.raises(UnsupportedRegimeError):
             speedup_report(3.0, 1, 100)
 
-    def test_crossover_grid(self):
-        # ratio stays >= 1 beyond the reported crossover on a 0.1 alpha grid
-        for alpha in [round(1.1 + 0.1 * k, 1) for k in range(19)]:
-            r_star = speedup_crossover(alpha, 1)
-            assert r_star is not None, alpha
-            for factor in (1.0, 1e3, 1e6):
-                r = r_star * factor
-                ratio = table1_curves(alpha, 1, r)["encode_prev_best"] / \
-                    protocol_time(alpha, 1, r)
-                assert ratio >= 1.0 - 1e-9, (alpha, r)
-
-    def test_crossover_d2_spots(self):
-        for alpha in (2.2, 3.0, 4.0, 4.4):
-            r_star = speedup_crossover(alpha, 2)
-            assert r_star is not None, alpha
-            ratio = table1_curves(alpha, 2, 10 * r_star)["encode_prev_best"] / \
-                protocol_time(alpha, 2, 10 * r_star)
-            assert ratio >= 1.0 - 1e-9, alpha
-
-    def test_crossover_grid_starting_just_below_r0(self):
-        # logspace's first point rounds to 7.999...: the protocol curve is
-        # sampled at its base size instead of refusing a target below r0
-        assert np.logspace(math.log10(8.0), 40.0, 3)[0] < 8
-        r_star = speedup_crossover(2.5, 1, r0=8, r_max=1e40)
-        assert r_star is not None and r_star > 8
-
 
 class TestGateBoundTable:
     def test_overflow_is_a_precondition_failure(self):
@@ -203,3 +176,16 @@ class TestGateBoundTable:
         assert header == ["n", "t_star", "lower", "upper", "gap_factor"]
         rows = gate_bound_table(2.5, 1, [10, 100])
         assert cells == [[csv_cell(row[k]) for k in header] for row in rows]
+
+
+@pytest.mark.parametrize("helper,args,kw", [
+    (fitted_exponent, (2.5, 1, 0, 10), {}),  # log10(0): a math domain error
+    (choose_m, (1.5, 1, math.nan), {}),
+    (choose_m, (1.5, 1, math.inf), {}),  # floor(inf) overflows
+    (merge_duration, (2.5, 1, 2, 2), {"q": 0}),  # 2/q divides by zero
+    (t_star, (2.5, 1, math.nan), {}),  # returned nan
+], ids=["fitted_exponent-r_lo-0", "choose_m-nan", "choose_m-inf", "merge_duration-q-0",
+        "t_star-nan"])
+def test_analytic_helper_domain_is_a_precondition(helper, args, kw):
+    with pytest.raises(PreconditionError):
+        helper(*args, **kw)

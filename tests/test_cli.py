@@ -110,6 +110,26 @@ class TestPlanCommand:
         record = json.loads(err)
         assert record["error"]["name"] == "unreachable-target"
 
+    @pytest.mark.parametrize("argv,code,name,message", [
+        (["plan", "--alpha", "2.5", "--r", "20.9"], EXIT_UNREACHABLE,
+         "unreachable-target", "side 20.9 is not reachable; nearest reachable sizes are "
+         "20 (below) and 200 (above)"),
+        (["plan", "--alpha", "2.5", "--r", "20.9", "--force-m", "10"], EXIT_UNREACHABLE,
+         "unreachable-target", "side 20.9 is not reachable; the forced merge factors reach 20"),
+        (["plan", "--alpha", "2.5", "--r", "50.0"], EXIT_UNREACHABLE,
+         "unreachable-target", "side 50 is not reachable; nearest reachable sizes are "
+         "20 (below) and 200 (above)"),
+        (["sweep", "--alphas", "2.5", "--r-values", "20.9", "--mode", "integer-exact"],
+         EXIT_UNREACHABLE, "unreachable-target", "side 20.9 is not reachable; nearest "
+         "reachable sizes are 20 (below) and 200 (above)"),
+        (["sweep", "--alphas", "2.5", "--r-values", "inf", "--mode", "integer-exact"],
+         EXIT_PRECONDITION, "precondition", "target side must be finite, got inf"),
+    ], ids=["plan", "plan-forced", "plan-integer-float", "sweep", "sweep-inf"])
+    def test_integer_exact_target_not_truncated(self, argv, code, name, message):
+        got, out, err = run_capture(argv)
+        assert (got, out) == (code, "")
+        assert strict_json(err)["error"] == {"code": code, "name": name, "message": message}
+
 
 class TestSimulateCommand:
     def test_chain8(self):

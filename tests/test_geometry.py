@@ -124,6 +124,19 @@ class TestLatticeSpec:
         with pytest.raises(OutOfBoundsError):
             LatticeSpec(1, 2).flat_index((2,))
 
+    @pytest.mark.parametrize("args,name", [
+        ((1, 2.5), "side"), ((1, 20.0), "side"), ((1.0, 2), "dimension"),
+        ((1, 2, 2.0), "levels"), ((1, "2"), "side"),
+    ])
+    def test_non_integer_refused(self, args, name):
+        with pytest.raises(OutOfBoundsError, match=f"{name} must be an integer"):
+            LatticeSpec(*args)
+
+    def test_numpy_integers_stored_as_int(self):
+        lat = LatticeSpec(np.int64(1), np.int32(20), np.uint8(3))
+        assert lat == LatticeSpec(1, 20, 3) and hash(lat) == hash(LatticeSpec(1, 20, 3))
+        assert all(type(v) is int for v in (lat.dimension, lat.side, lat.levels))
+
     def test_masks_partition_lattice(self):
         lat = LatticeSpec(2, 6)
         cubes = partition(lat.full_region(), 3)

@@ -29,7 +29,6 @@ from ghzlattice.protocol import (
     decode,
     encode,
     state_transfer,
-    verify_step,
 )
 from ghzlattice.scheduler import merge_duration, plan
 from ghzlattice.simulator import (
@@ -61,6 +60,19 @@ def request(lattice, coeffs, forced_m, alpha=2.5, c=0, r0=2):
              forced_m=forced_m, q=lattice.levels)
     return EncodeRequest(lattice, lattice.full_region(), c,
                          np.asarray(coeffs, dtype=complex), p)
+
+
+def step_terms(req, level, step):
+    """The machine's verification terms of the expected state after one step."""
+    machine = protocol._get_machine(req, protocol.GATE_DFT)
+    i = [s[:2] for s in machine.steps].index((level, step))
+    return machine.terms[1 + i]
+
+
+def step_fidelity(state, req, level, step):
+    """Fidelity of ``state`` against the expected state after one step, read
+    as a run reads it, with the live norm read in full."""
+    return protocol._overlap(state, step_terms(req, level, step), req.coefficients)
 
 
 def haar_qubit(rng):
@@ -461,6 +473,9 @@ class TestStateTransfer:
 
 
 class TestVerifyStep:
+    """Each step's check: its record's fidelity, and ``_overlap`` of the
+    captured state against the step's terms."""
+
     def test_a_branch_after_merge(self):
         # with (a, b) = (1, 0) nothing acquires a phase: fidelity 1 after step 2
         lat = chain(4)
@@ -468,7 +483,7 @@ class TestVerifyStep:
         captured = {}
         encode(source_state(lat, 0, [1.0, 0.0]), req,
                on_step=lambda rec, s: captured.setdefault((rec.level, rec.step), s))
-        fid = verify_step(captured[(1, 2)], 1, 2, req)
+        fid = step_fidelity(captured[(1, 2)], req, 1, 2)
         assert fid >= 1 - 1e-12
 
     def test_after_step4(self):
@@ -477,7 +492,7 @@ class TestVerifyStep:
         captured = {}
         encode(source_state(lat, 0, [0.6, 0.8]), req,
                on_step=lambda rec, s: captured.setdefault((rec.level, rec.step), s))
-        assert verify_step(captured[(1, 4)], 1, 4, req) >= FIDELITY_BAR
+        assert step_fidelity(captured[(1, 4)], req, 1, 4) >= FIDELITY_BAR
 
     def test_half_duration_detected(self):
         # merge run for half the prescribed time: overlap with the expected
@@ -495,21 +510,15 @@ class TestVerifyStep:
         )
         half = evolve_phase(after_step1, coupling,
                             merge_duration(2.5, 1, 2, 2, q=2) / 2)
-        fid = verify_step(half, 1, 2, req)
+        fid = step_fidelity(half, req, 1, 2)
         want = abs(0.36 + 0.64 * (1 + 1j) / 2) ** 2
         assert fid == pytest.approx(want, abs=1e-9)
         assert fid < 1 - 1e-3
 
-    def test_unknown_step(self):
-        lat = chain(4)
-        req = request(lat, [0.6, 0.8], [2])
-        with pytest.raises(PreconditionError):
-            verify_step(source_state(lat, 0, [0.6, 0.8]), 1, 7, req)
-
     def test_matches_the_records_of_a_hadamard_encode(self):
-        # the expected states depend on the geometry alone, so verify_step
-        # (which takes no gate mode) reads each Hadamard-path step exactly as
-        # the step's own record did
+        # the expected states depend on the geometry alone, so the terms of
+        # the DFT machine read each Hadamard-path step exactly as the step's
+        # own record did
         lat = chain(16)
         req = request(lat, [0.6, 0.8], [2, 2, 2])
         captured = []
@@ -517,12 +526,12 @@ class TestVerifyStep:
                on_step=lambda rec, s: captured.append((rec, s)))
         assert len(captured) == 13
         for rec, s in captured:
-            assert verify_step(s, rec.level, rec.step, req) == rec.fidelity
+            assert step_fidelity(s, req, rec.level, rec.step) == rec.fidelity
 
     def test_state_must_fit_the_lattice(self):
         req = request(chain(4), [0.6, 0.8], [2])
-        with pytest.raises(PreconditionError):
-            verify_step(source_state(chain(5), 0, [0.6, 0.8]), 1, 2, req)
+        with pytest.raises(PreconditionError, match="does not fit the lattice"):
+            encode(source_state(chain(5), 0, [0.6, 0.8]), req)
 
     def test_decode_records_mirror_encode(self):
         lat = chain(8)
@@ -998,9 +1007,7 @@ print(out)
 
 def _step_support(req, level, step):
     """Flat indices of the expected state's nonzero terms after one step."""
-    machine = protocol._get_machine(req, protocol.GATE_DFT)
-    i = [s[:2] for s in machine.steps].index((level, step))
-    return machine.terms[1 + i][0]
+    return step_terms(req, level, step)[0]
 
 
 class TestSparseVerification:
@@ -1047,10 +1054,10 @@ class TestSparseVerification:
         encode(source_state(lat, 0, [0.6, 0.8]), req,
                on_step=lambda rec, s: captured.setdefault((rec.level, rec.step), s))
         state = captured[(1, 2)]
-        assert verify_step(state, 1, 2, req) >= FIDELITY_BAR
+        assert step_fidelity(state, req, 1, 2) >= FIDELITY_BAR
         off = sorted(set(range(16)) - set(_step_support(req, 1, 2).tolist()))[0]
         state.amps[off] = np.nan  # planted after the state was validated
-        assert math.isnan(verify_step(state, 1, 2, req))
+        assert math.isnan(step_fidelity(state, req, 1, 2))
 
     def test_encode_refuses_a_planted_nan(self):
         lat = chain(8)
@@ -1116,6 +1123,31 @@ class TestInputsUntouched:
                                 verify=verify)
         assert np.array_equal(state.amps, kept)
         assert fidelity(out, source_state(lat, last, v)) >= FIDELITY_BAR
+
+
+class TestStateShape:
+    """Every run refuses a state whose sites or levels are not the lattice's,
+    with verify on or off, before it reads a coefficient or applies an op."""
+
+    SHAPES = {"6-sites": chain(6), "10-sites": chain(10), "q3": chain(8, q=3)}
+
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "no-verify"])
+    @pytest.mark.parametrize("kind", ["encode", "decode", "transfer"])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_refused(self, shape, kind, verify):
+        lat, other = chain(8), self.SHAPES[shape]
+        coeffs = [0.6, 0.8, 0.0][:other.levels]
+        # the start state each run expects, laid out on the other shape
+        state = (expected_ghz(other.full_region(), other, coeffs) if kind == "decode"
+                 else source_state(other, min(7, other.n_sites - 1) if kind == "transfer"
+                                   else 0, coeffs))
+        req = request(lat, [0.6, 0.8], [2, 2])
+        with pytest.raises(PreconditionError, match="does not fit the lattice"):
+            if kind == "transfer":  # from site 7, as the 8-site lattice numbers it
+                state_transfer(state, 7, 0, lat.full_region(), req.plan, lattice=lat,
+                               verify=verify)
+            else:
+                (encode if kind == "encode" else decode)(state, req, verify=verify)
 
 
 class TestStrayMassGuard:

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ghzlattice.analysis import scaling_sweep
 from ghzlattice.errors import (
     PoleError,
     PreconditionError,
     UnreachableTargetError,
     UnsupportedRegimeError,
 )
+from ghzlattice.geometry import LatticeSpec
 from ghzlattice.scheduler import (
     AssumptionWarning,
     RegimeParams,
@@ -525,6 +527,13 @@ def failed_checks(p):
     return {note.split(" at r=")[0] for note in p.notes}
 
 
+def assert_notes_match_certificate(p):
+    """preconditions_met is false exactly where the plan notes a node."""
+    for rec in p.certify():
+        noted = any(f" at r={rec['r']}: " in note for note in p.notes)
+        assert rec["preconditions_met"] == (not noted), (rec, p.notes)
+
+
 # (plan args, plan keywords, the checks its audit fails)
 AUDIT_CASES = [
     ((2.5, 1, 20), {"forced_m": [2, 5]}, {"pole"}),
@@ -540,15 +549,23 @@ AUDIT_CASES = [
 ]
 
 
+# (plan args, plan keywords, the checks a continuous plan's audit fails)
+CONTINUOUS_AUDIT_CASES = [
+    ((1.5, 1, 1000.5), {}, {"m", "polylog"}),  # m is the interval's open lower end
+    ((1.5, 1, 1000.5), {"K_alpha": 1e-3}, {"K", "m", "polylog"}),
+    ((2.0, 1, 1e6), {}, {"r1"}),
+    ((2.5, 1, 1e6), {}, set()),
+    ((4.5, 2, 1e4), {}, set()),
+]
+
+
 class TestAudit:
     @pytest.mark.parametrize("args,kw,checks", AUDIT_CASES)
     def test_failed_checks_named(self, args, kw, checks):
         p = quiet_plan(*args, **kw)
         assert failed_checks(p) == checks
         assert p.certified == (not checks)
-        for rec in p.certify():  # preconditions_met exactly where the node has no note
-            noted = any(f" at r={rec['r']}: " in note for note in p.notes)
-            assert rec["preconditions_met"] == (not noted), (rec, p.notes)
+        assert_notes_match_certificate(p)
 
     def test_only_the_polylog_assumption_warns(self):
         with warnings.catch_warnings():
@@ -561,9 +578,39 @@ class TestAudit:
         assert [str(w.message) for w in caught] == [
             note for note in p.notes if note.startswith("polylog")]
 
-    def test_continuous_plans_carry_no_notes(self):
-        p = plan(1.5, 1, 1000.5, K_alpha=1e-3, mode="continuous-analytic")
-        assert p.notes == ()
+    @pytest.mark.parametrize("args,kw,checks", CONTINUOUS_AUDIT_CASES)
+    def test_continuous_notes_match_the_certificate(self, args, kw, checks):
+        # a continuous plan claims no certificate and never warns, but its
+        # notes name each check its nodes fail, as an integer plan's do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AssumptionWarning)
+            p = plan(*args, mode="continuous-analytic", **kw)
+        assert failed_checks(p) == checks
+        assert_notes_match_certificate(p)
+        assert "notes" not in {f.name for f in fields(p)}  # derived, never stored
+
+
+class TestIntegerExactTargets:
+    """An integer-exact target is never truncated: a side that is not an
+    integer is unreachable, and the plan's lattice is the side it reaches."""
+
+    @pytest.mark.parametrize("call,error,match", [
+        (lambda: plan(2.5, 1, 20.9), UnreachableTargetError, r"20 \(below\) and 200"),
+        (lambda: plan(2.5, 1, 20.9, forced_m=[10]), UnreachableTargetError, "reach 20$"),
+        (lambda: scaling_sweep([2.5], 1, [20.9], mode="integer-exact"),
+         UnreachableTargetError, r"20 \(below\) and 200"),
+        (lambda: scaling_sweep([2.5], 1, [math.inf], mode="integer-exact"),
+         PreconditionError, "must be finite"),
+    ], ids=["plan", "plan-forced", "sweep", "sweep-inf"])
+    def test_refused(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    @pytest.mark.parametrize("r", [20, 20.0, np.float64(20.0), np.int64(20)])
+    def test_integer_valued_targets(self, r):
+        p = plan(2.5, 1, r)
+        assert p == plan(2.5, 1, 20)
+        assert type(p.lattice.side) is int and p.lattice == LatticeSpec(1, 20)
 
 
 class TestTStar:
@@ -585,33 +632,35 @@ class TestTStar:
 
 
 class TestGateCountUpper:
-    @pytest.mark.parametrize("kw", [{"at_t_star": True}, {"t": 1.0}])
-    def test_overflow_is_a_precondition_failure(self, kw):
+    @pytest.mark.parametrize("alpha", [1.5, 2.5])
+    def test_overflow_is_a_precondition_failure(self, alpha):
         with pytest.raises(PreconditionError):
-            gate_count_upper(2.5, 1, 1e200, **kw)
+            gate_count_upper(alpha, 1, 1e200)
 
     def test_low_alpha(self):
-        assert gate_count_upper(1.5, 1, 10, 2.0) == pytest.approx(200.0, rel=1e-14)
+        # n**2 up to and including alpha = 2d
+        assert gate_count_upper(1.5, 1, 10) == 100.0
+        assert gate_count_upper(2.0, 1, 10) == 100.0
 
     def test_high_alpha(self):
-        want = 10 ** (1 + 1 / 1.5)
-        assert gate_count_upper(2.5, 1, 10, 1.0) == pytest.approx(want, rel=1e-13)
+        assert gate_count_upper(4.5, 2, 10) == pytest.approx(10**2.25, rel=1e-13)
 
     def test_unit(self):
-        assert gate_count_upper(1.5, 1, 1, 1.0) == 1.0
-        assert gate_count_upper(2.5, 1, 1, 1.0) == 1.0
+        assert gate_count_upper(1.5, 1, 1) == 1.0
+        assert gate_count_upper(2.5, 1, 1) == 1.0
 
     def test_at_t_star(self):
-        assert gate_count_upper(2.5, 1, 10**4, at_t_star=True) == pytest.approx(
-            10**10.0, rel=1e-12
-        )
-        assert gate_count_upper(1.5, 1, 50, at_t_star=True) == 2500.0
+        assert gate_count_upper(2.5, 1, 10**4) == pytest.approx(10**10.0, rel=1e-12)
+        assert gate_count_upper(1.5, 1, 50) == 2500.0
 
-    def test_alpha_above_band_allowed_for_general_t(self):
-        # the Trotter bound's second case applies to any alpha > 2d
-        assert gate_count_upper(6.0, 1, 10, 1.0) == pytest.approx(
-            10 ** (1 + 1 / 5), rel=1e-13
-        )
+    def test_domain(self):
+        # t_star, where the bound is taken, exists only for d < alpha <= 2d+1
+        for alpha in (1.0, 3.5):
+            with pytest.raises(UnsupportedRegimeError):
+                gate_count_upper(alpha, 1, 10)
+        for n in (0, math.nan, math.inf):
+            with pytest.raises(PreconditionError):
+                gate_count_upper(2.5, 1, n)
 
 
 class TestTable1:

@@ -23,12 +23,19 @@ from ghzlattice.simulator import (
     evolve_phase,
     expected_ghz,
     fidelity,
-    hadamard_matrix,
     init_product,
-    zero_state,
 )
 
 RNG = np.random.default_rng(20240817)
+
+# the Hadamard, written out; dft_matrix(2) is it bit for bit
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+
+
+def ground(lattice, max_amps=None):
+    """Every site of ``lattice`` in level 0."""
+    return init_product(lattice, [basis_vector(lattice.levels, 0)] * lattice.n_sites,
+                        max_amps=max_amps)
 
 
 def cli_dump(path, *flags) -> int:
@@ -162,23 +169,23 @@ def test_build_peak_memory_2_22(rss_growth, build, most):
 class TestGates:
     def test_hadamard_on_plus(self):
         plus = StateVector(2, 1, np.array([1, 1]) / math.sqrt(2))
-        out = apply_gate(plus, Gate(hadamard_matrix(), 0))
+        out = apply_gate(plus, Gate(HADAMARD, 0))
         assert abs(out.amps[0] - 1) < 1e-15 and abs(out.amps[1]) < 1e-15
 
     def test_hadamard_involution(self):
         state = random_state(2, 4)
-        gate = Gate(hadamard_matrix(), 2)
+        gate = Gate(HADAMARD, 2)
         out = apply_gate(apply_gate(state, gate), gate)
         assert fidelity(out, state) == pytest.approx(1.0, abs=1e-13)
 
     def test_dft3_on_zero(self):
-        state = apply_gate(zero_state(LatticeSpec(1, 1, 3)), Gate(dft_matrix(3), 0))
+        state = apply_gate(ground(LatticeSpec(1, 1, 3)), Gate(dft_matrix(3), 0))
         assert np.allclose(state.amps, np.ones(3) / math.sqrt(3), atol=1e-15)
 
     def test_dft2_bitwise_hadamard(self):
         # compared as bit patterns: array_equal takes -0.0 == 0.0, and the
         # protocol's Hadamard mode runs the DFT machine on this equality
-        assert np.array_equal(dft_matrix(2).view(np.int64), hadamard_matrix().view(np.int64))
+        assert np.array_equal(dft_matrix(2).view(np.int64), HADAMARD.view(np.int64))
 
     def test_dft_unitary(self):
         for q in (2, 3, 4, 5, 7):
@@ -190,15 +197,15 @@ class TestGates:
             Gate(np.array([[1, 0], [1, 1]], dtype=complex), 0)
 
     def test_site_out_of_range(self):
-        state = zero_state(LatticeSpec(1, 2))
+        state = ground(LatticeSpec(1, 2))
         with pytest.raises(OutOfBoundsError):
-            apply_gate(state, Gate(hadamard_matrix(), 5))
+            apply_gate(state, Gate(HADAMARD, 5))
 
     def test_every_site_position(self):
         # both contraction layouts, at low and high strides, agree with the
         # kron-built matrix
         state = random_state(2, 9)
-        h = hadamard_matrix()
+        h = HADAMARD
         eye = np.eye(2, dtype=complex)
         for site in range(9):
             mats = [h if s == site else eye for s in reversed(range(9))]
@@ -271,7 +278,7 @@ class TestGates:
         assert strides == {"site0", "low", "high"}
 
     @pytest.mark.parametrize("q,u", [
-        (2, np.kron(hadamard_matrix(), hadamard_matrix())),
+        (2, np.kron(HADAMARD, HADAMARD)),
         (2, np.linalg.qr(np.random.default_rng(64).standard_normal((64, 64)))[0]),
         (3, np.linalg.qr(np.random.default_rng(27).standard_normal((27, 27)))[0]),
     ], ids=["hadamard-pair", "orthogonal-q2-k6", "orthogonal-q3-k3"])
@@ -302,7 +309,7 @@ class TestGates:
             assert np.array_equal(got, want.reshape(-1))
 
     def test_real_copy_only_for_exactly_real_strided_gates(self):
-        u = np.kron(hadamard_matrix(), hadamard_matrix())
+        u = np.kron(HADAMARD, HADAMARD)
         assert Gate(u, 0)._real is None  # site 0 keeps its right-multiply
         assert Gate(np.kron(np.eye(2), [[0, 1], [1, 0]]), 3)._real is None  # a gather
         tiny = u.copy()
@@ -320,7 +327,7 @@ class TestGates:
         buf[::2] = random_state(2, 6).amps
         state = StateVector(2, 6, buf[::2])
         assert not state.amps.flags.c_contiguous
-        gate = Gate(np.kron(hadamard_matrix(), hadamard_matrix()), 3)
+        gate = Gate(np.kron(HADAMARD, HADAMARD), 3)
         assert gate._real is not None
         got = apply_gate(state, gate).amps
         want = np.matmul(gate.matrix, state.amps.reshape(-1, 4, 8)).reshape(-1)
@@ -451,7 +458,7 @@ class TestEvolvePhase:
     def test_commutes_with_outside_gate(self):
         state = random_state(2, 5)
         coup = PhaseCoupling(np.array([0, 1]), (np.array([2, 3]),), 0.9)
-        gate = Gate(hadamard_matrix(), 4)  # outside both masks
+        gate = Gate(HADAMARD, 4)  # outside both masks
         a = apply_gate(evolve_phase(state, coup, 0.61), gate)
         b = evolve_phase(apply_gate(state, gate), coup, 0.61)
         assert np.max(np.abs(a.amps - b.amps)) < 1e-13
@@ -588,7 +595,7 @@ class TestOutBuffer:
         # low stride (2**3, the lowest a protocol block starts at without
         # widening to site 0) and a high one, and a real gate's float64 matmul
         u = {"gather": TestGates._cnot(),
-             "real": np.kron(hadamard_matrix(), hadamard_matrix())}.get(path)
+             "real": np.kron(HADAMARD, HADAMARD)}.get(path)
         gate = Gate(_unitary(4, site) if u is None else u, site)
         assert (gate._perm is not None) == (path == "gather")
         assert (gate._real is not None) == (path == "real")
@@ -620,7 +627,7 @@ class TestOutBuffer:
 
     def test_refusals(self):
         state = random_state(2, 6)
-        gate = Gate(hadamard_matrix(), 3)
+        gate = Gate(HADAMARD, 3)
         with pytest.raises(PreconditionError, match="share memory"):
             apply_gate(state, gate, state.amps)  # aliased
         big = np.zeros(2 * 64, dtype=np.complex128)
@@ -647,7 +654,7 @@ class TestNormPreservation:
         rng = np.random.default_rng(99)
         q, n = 2, 8
         state = random_state(q, n, rng)
-        gates = [hadamard_matrix(), dft_matrix(2)]
+        gates = [HADAMARD, dft_matrix(2)]
         couplings = [
             PhaseCoupling(np.array([0, 1]), (np.array([4, 5]),), 0.3),
             PhaseCoupling(np.array([2]), (np.array([6]), np.array([7])), 0.8),
@@ -674,12 +681,12 @@ class TestFidelity:
         assert fidelity(state, state) == pytest.approx(1.0, abs=1e-14)
 
     def test_orthogonal(self):
-        a = zero_state(LatticeSpec(1, 1))
+        a = ground(LatticeSpec(1, 1))
         b = StateVector(2, 1, np.array([0.0, 1.0]))
         assert fidelity(a, b) == 0.0
 
     def test_half(self):
-        a = zero_state(LatticeSpec(1, 1))
+        a = ground(LatticeSpec(1, 1))
         plus = StateVector(2, 1, np.array([1.0, 1.0]) / math.sqrt(2))
         assert fidelity(a, plus) == pytest.approx(0.5, rel=1e-14)
 
@@ -750,7 +757,7 @@ class TestExpectedGhz:
 class TestCapacityAndDump:
     def test_refusal(self):
         with pytest.raises(MemoryCapError):
-            zero_state(LatticeSpec(1, 27))  # 2**27 > default cap
+            ground(LatticeSpec(1, 27))  # 2**27 > default cap
 
     def test_refusal_without_materializing(self):
         with pytest.raises(MemoryCapError):
@@ -764,15 +771,15 @@ class TestCapacityAndDump:
     ], ids=["huge-site-count", "huge-dimension"])
     def test_refused_before_counting_sites(self, lattice):
         # a region of 2**63 coordinates cannot exist, and the refusal comes first
-        for build in (lambda: init_product(lattice, []), lambda: zero_state(lattice),
+        for build in (lambda: init_product(lattice, []),
                       lambda: expected_ghz(None, lattice, [1, 0])):
             with pytest.raises(MemoryCapError):
                 build()
 
     def test_custom_cap(self):
         with pytest.raises(MemoryCapError):
-            zero_state(LatticeSpec(1, 4), max_amps=8)
-        assert zero_state(LatticeSpec(1, 4), max_amps=16).amps.size == 16
+            ground(LatticeSpec(1, 4), max_amps=8)
+        assert ground(LatticeSpec(1, 4), max_amps=16).amps.size == 16
 
     def test_dump_rows(self):
         lat = LatticeSpec(1, 3)
