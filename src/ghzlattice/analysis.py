@@ -13,7 +13,10 @@ import numpy as np
 
 from .errors import PreconditionError, UnreachableTargetError, UnsupportedRegimeError
 from .scheduler import (
+    CONTINUOUS,
+    INTEGER_EXACT,
     SchedulePlan,
+    _prev_best_exponent,
     gate_count_upper,
     plan,
     protocol_time,
@@ -22,8 +25,6 @@ from .scheduler import (
 )
 
 AUTO = "auto"
-INTEGER_EXACT = "integer-exact"
-CONTINUOUS = "continuous-analytic"
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,8 @@ class ScalingRow:
 
 
 def _resolve_plan(alpha: float, d: int, r, mode: str, r0: int) -> SchedulePlan:
-    if mode == CONTINUOUS:
-        return plan(alpha, d, r, r0=r0, mode=CONTINUOUS)
-    if mode == INTEGER_EXACT:
-        return plan(alpha, d, r, r0=r0, mode=INTEGER_EXACT)
+    if mode in (INTEGER_EXACT, CONTINUOUS):
+        return plan(alpha, d, r, r0=r0, mode=mode)
     if mode != AUTO:
         raise PreconditionError(f"unknown sweep mode {mode!r}")
     try:
@@ -98,23 +97,31 @@ def scaling_sweep(
     return rows
 
 
-def _slope(x: np.ndarray, ts) -> float:
-    """Least-squares slope of log t against x."""
-    ts = np.asarray(ts, dtype=float)
-    if x.size < 2 or ts.shape != x.shape:
+def _slope(rs, ts, x, r_ok, r_domain: str) -> float:
+    """Least-squares slope of log t against x(r), refusing an r outside x's
+    domain (``r_ok`` false or r infinite), a t that is not finite and > 0, and
+    r without two distinct values (no line has a slope there)."""
+    rs, ts = np.asarray(rs, dtype=float), np.asarray(ts, dtype=float)
+    if rs.size < 2 or ts.shape != rs.shape:
         raise PreconditionError("need one t per r and at least two points to fit a "
-                                f"slope, got {x.size} r and {ts.size} t")
-    return float(np.polyfit(x, np.log(ts), 1)[0])
+                                f"slope, got {rs.size} r and {ts.size} t")
+    for name, v, ok, domain in (("r", rs, r_ok(rs), r_domain), ("t", ts, ts > 0, "> 0")):
+        bad = v[~(ok & (v < np.inf))]  # NaN fails both comparisons
+        if bad.size:
+            raise PreconditionError(f"{name} must be finite and {domain}, got {bad[0]}")
+    if np.all(rs == rs[0]):
+        raise PreconditionError(f"r must take two distinct values, got {rs[0]} only")
+    return float(np.polyfit(x(rs), np.log(ts), 1)[0])
 
 
 def fit_loglog_slope(rs, ts) -> float:
     """Least-squares slope of log t against log r."""
-    return _slope(np.log(np.asarray(rs, dtype=float)), ts)
+    return _slope(rs, ts, np.log, lambda rs: rs > 0, "> 0")
 
 
 def fit_sqrtlog_slope(rs, ts) -> float:
     """Least-squares slope of log t against sqrt(log r)."""
-    return _slope(np.sqrt(np.log(np.asarray(rs, dtype=float))), ts)
+    return _slope(rs, ts, lambda rs: np.sqrt(np.log(rs)), lambda rs: rs >= 1, ">= 1")
 
 
 def fitted_exponent(alpha: float, d: int, r_lo: float, r_hi: float, n_points: int = 16) -> float:
@@ -123,7 +130,7 @@ def fitted_exponent(alpha: float, d: int, r_lo: float, r_hi: float, n_points: in
     if not 0 < r_lo < r_hi < math.inf:
         raise PreconditionError(f"need a window 0 < r_lo < r_hi < inf, got {r_lo} to {r_hi}")
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), n_points)
-    ts = [plan(alpha, d, r, r0=2, mode=CONTINUOUS).t_total for r in rs]
+    ts = [protocol_time(alpha, d, r) for r in rs]
     return fit_loglog_slope(rs, ts)
 
 
@@ -134,10 +141,6 @@ def decade_exponents(alpha: float, d: int, first_decade: int, n_decades: int) ->
         fitted_exponent(alpha, d, 10.0**j, 10.0 ** (j + 1), n_points=12)
         for j in range(first_decade, first_decade + n_decades)
     ]
-
-
-def _prev_best_exponent(alpha: float, d: int) -> float:
-    return alpha - d if alpha < d + 1 else 1.0
 
 
 def _speedup(alpha: float, d: int, r) -> tuple[float, float, float]:
@@ -202,8 +205,6 @@ def gate_bound_table(alpha: float, d: int, n_values) -> list[dict]:
     """
     rows = []
     for n in n_values:
-        if not 1 <= n < math.inf:
-            raise PreconditionError(f"n must be finite and >= 1, got {n}")
         ts = t_star(alpha, d, n)
         lower = float(n)
         upper = gate_count_upper(alpha, d, n)

@@ -112,11 +112,10 @@ _FLAGS = (
     ("k-alpha", ("plan",), float, None, "envelope prefactor (default: regime minimum)"),
     ("t-base", ("plan",), float, None, "base-case time (default: envelope at r0)"),
     ("force-m", _PLANNED, _list(int), None, "comma-separated merge factors, base outward"),
-    ("mode", ("plan",), _choice(analysis.INTEGER_EXACT, analysis.CONTINUOUS),
-     analysis.INTEGER_EXACT, "integer-exact or continuous-analytic"),
-    ("mode", ("sweep",), _choice(analysis.AUTO, analysis.INTEGER_EXACT, analysis.CONTINUOUS),
+    ("mode", ("plan",), _choice(scheduler.INTEGER_EXACT, scheduler.CONTINUOUS),
+     scheduler.INTEGER_EXACT, "integer-exact or continuous-analytic"),
+    ("mode", ("sweep",), _choice(analysis.AUTO, scheduler.INTEGER_EXACT, scheduler.CONTINUOUS),
      analysis.AUTO, "auto, integer-exact, or continuous-analytic"),
-    ("kappa-factor", ("plan",), float, 4.0, "polylog kappa numerator factor, in (3, 4]"),
     ("coeff", _RUNS, str, _REQUIRED, "q comma-separated amplitudes, or random:SEED"),
     ("c-site", ("simulate",), int, 0, "flat index of the source site"),
     ("source", ("transfer",), int, 0, "flat index of the source site"),
@@ -261,7 +260,6 @@ def _cmd_plan(o: dict) -> str:
     p = scheduler.plan(
         o["alpha"], o["d"], o["r"], r0=o["r0"], t_base=o["t-base"], q=o["q"],
         K_alpha=o["k-alpha"], forced_m=o["force-m"], mode=o["mode"],
-        kappa_factor=o["kappa-factor"],
     )
     if o["format"] == "csv":
         return _csv(("r", "r1", "m", "t1", "t2", "t_total", "forced"), p.to_dict()["nodes"])

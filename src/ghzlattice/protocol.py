@@ -64,7 +64,7 @@ from .errors import (
     StatePreconditionError,
 )
 from .geometry import LatticeSpec, Region, euclidean_diameter_bound, partition, site_mask
-from .scheduler import SchedulePlan
+from .scheduler import INTEGER_EXACT, SchedulePlan
 from .simulator import (
     Gate,
     PhaseCoupling,
@@ -108,7 +108,7 @@ class EncodeRequest:
         if not self.region.contains(self.lattice.coord(self.c)):
             raise OutOfBoundsError(f"site {self.c} lies outside the region")
         p = self.plan
-        if p.mode != "integer-exact":
+        if p.mode != INTEGER_EXACT:
             raise PlanMismatchError("simulation needs an integer-exact plan")
         if p.root.r != self.region.side:
             raise PlanMismatchError(
@@ -141,7 +141,6 @@ class ProtocolTrace:
 
     total_time: float = 0.0
     final_fidelity: float | None = None
-    forced: bool = False
     records: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -595,7 +594,7 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     _check_fits(state, req.lattice)
     _check_stray_mass(state, req, inverse)
     machine = _get_machine(req, gate_mode)
-    trace = ProtocolTrace(total_time=req.plan.t_total, forced=req.plan.forced)
+    trace = ProtocolTrace(total_time=req.plan.t_total)
     times = _step_times(req.plan)
     order = range(len(machine.steps))
     if verify:
@@ -698,7 +697,7 @@ def state_transfer(
         if not region.contains(lattice.coord(s)):
             raise OutOfBoundsError(f"site {s} lies outside the region")
     if c == c_prime:
-        return state, ProtocolTrace(total_time=0.0, forced=plan.forced)
+        return state, ProtocolTrace()
     coeffs = (_extract_site_coefficients(state, c) if verify
               else basis_vector(lattice.levels, 0))
     req_in = EncodeRequest(lattice, region, c, coeffs, plan)

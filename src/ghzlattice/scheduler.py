@@ -43,6 +43,9 @@ POLYLOG = "polylog"
 STRETCHED = "stretched"
 POWER = "power"
 
+INTEGER_EXACT = "integer-exact"
+CONTINUOUS = "continuous-analytic"
+
 # Relative slack for float comparisons in certificates.
 _REL_EPS = 1e-9
 
@@ -70,9 +73,10 @@ def _lam(alpha: float, d: int) -> float:
     return 2.0 * d / alpha
 
 
-def _kappa(alpha: float, d: int, kappa_factor: float) -> float:
-    """kappa = log(kappa_factor)/log(2d/alpha), the polylog envelope exponent."""
-    return math.log(kappa_factor) / math.log(_lam(alpha, d))
+def _kappa(alpha: float, d: int, base: float = 4.0) -> float:
+    """log(base)/log(2d/alpha): at base 4 the polylog envelope exponent kappa,
+    at base 3 the exponent beta of the continuous polylog base case."""
+    return math.log(base) / math.log(_lam(alpha, d))
 
 
 def _gamma(d: int) -> float:
@@ -113,7 +117,7 @@ def _audit(params: RegimeParams, node: ScheduleNode) -> dict[str, str]:
     slack = 1 + 1e-12
     failed = {}
     try:
-        kmin = k_alpha_min(p.alpha, p.d, m=m, r0=p.r0, kappa_factor=p.kappa_factor)
+        kmin = k_alpha_min(p.alpha, p.d, m=m, r0=p.r0)
         if not p.K_alpha * slack >= kmin:
             failed["K"] = f"K={p.K_alpha:.4g} is below the regime minimum {kmin:.4g}"
     except PoleError as exc:
@@ -184,21 +188,23 @@ def k_alpha_min(
     d: int,
     m=None,
     r0: int = 2,
-    kappa_factor: float = 4.0,
 ) -> float:
     """Minimum envelope prefactor K for which the level recursion closes.
 
-    power:     pi * d**(a/2) * m**a / (m**(a-2d) - 3); pole at m**(a-2d) <= 3
+    power:     pi * d**(a/2) * m**a / (m**(a-2d) - 3); pole at m**(a-2d) <= 3,
+               for a finite merge factor m > 0
     stretched: 2**a * pi * d**(a/2) / (e**2 - 3)
     polylog:   smallest K with K*log(r0)**kappa >= pi*(2*sqrt(d))**a, i.e. the
-               simplifying assumption holds from the base size up
+               simplifying assumption holds from the base size up, with
+               kappa = log 4/log(2d/a)
 
     The power and stretched numerators are the qubit merge time at r1 = 1.
     """
     reg = regime(alpha, d)
     if reg == POWER:
-        if m is None:
-            raise PreconditionError("power regime needs the merge factor m")
+        if m is None or not 0 < m < math.inf:
+            raise PreconditionError(
+                f"power regime needs a finite merge factor m > 0, got {m}")
         rise = float(m) ** (alpha - 2 * d)
         # above the pole both in float and in log space (no overflow near it)
         if not (rise > 3.0 and math.log(m) * (alpha - 2 * d) > math.log(3.0)):
@@ -208,16 +214,12 @@ def k_alpha_min(
         return merge_duration(alpha, d, m, 1) / (rise - 3.0)
     if reg == STRETCHED:
         return merge_duration(alpha, d, 2, 1) / (math.e**2 - 3.0)
-    if not 3.0 < kappa_factor <= 4.0:
-        raise PreconditionError(f"kappa_factor must be in (3, 4], got {kappa_factor}")
     if r0 <= 1:
         raise PreconditionError(f"polylog minimum needs base r0 > 1, got {r0}")
-    return _polylog_threshold(alpha, d) / (
-        (kappa_factor - 3.0) * math.log(r0) ** _kappa(alpha, d, kappa_factor)
-    )
+    return _polylog_threshold(alpha, d) / math.log(r0) ** _kappa(alpha, d)
 
 
-def bound_kernel(alpha: float, d: int, r, kappa_factor: float = 4.0) -> float:
+def bound_kernel(alpha: float, d: int, r) -> float:
     """The envelope with unit prefactor: log**kappa r, e**(g*sqrt(log r)), r**(a-2d).
 
     The power envelope takes any finite r > 0, which a continuous plan's base
@@ -231,7 +233,7 @@ def bound_kernel(alpha: float, d: int, r, kappa_factor: float = 4.0) -> float:
     if not 1 <= r < math.inf:
         raise PreconditionError(f"r must be finite and >= 1, got {r}")
     if reg == POLYLOG:
-        return math.log(r) ** _kappa(alpha, d, kappa_factor)
+        return math.log(r) ** _kappa(alpha, d)
     return math.exp(_gamma(d) * math.sqrt(math.log(r)))
 
 
@@ -242,7 +244,8 @@ class RegimeParams:
     ``K_alpha`` is stored as given; whether it meets the regime minimum is a
     certificate question (see :meth:`SchedulePlan.certify`), not a construction
     error, so envelopes with unit prefactor remain expressible.  The regime and
-    its derived constants are read-only properties.
+    its derived constants (``kappa_alpha`` = log 4/log(2d/alpha), polylog only)
+    are read-only properties.
     """
 
     alpha: float
@@ -250,7 +253,6 @@ class RegimeParams:
     K_alpha: float
     r0: int
     t_base: float
-    kappa_factor: float = 4.0
 
     @property
     def regime(self) -> str:
@@ -267,11 +269,11 @@ class RegimeParams:
     @property
     def kappa_alpha(self) -> float | None:
         polylog = self.regime == POLYLOG
-        return _kappa(self.alpha, self.d, self.kappa_factor) if polylog else None
+        return _kappa(self.alpha, self.d) if polylog else None
 
     def bound(self, r) -> float:
         """The total-time envelope K * kernel(r)."""
-        return self.K_alpha * bound_kernel(self.alpha, self.d, r, self.kappa_factor)
+        return self.K_alpha * bound_kernel(self.alpha, self.d, r)
 
 
 def make_params(
@@ -280,7 +282,6 @@ def make_params(
     r0: int = 2,
     K_alpha: float | None = None,
     t_base: float | None = None,
-    kappa_factor: float = 4.0,
 ) -> RegimeParams:
     """RegimeParams with defaults: K = regime minimum, t_base = envelope at r0.
 
@@ -295,8 +296,6 @@ def make_params(
         raise PreconditionError(f"K_alpha must be finite and > 0, got {K_alpha}")
     if t_base is not None and not 0.0 <= t_base < math.inf:
         raise PreconditionError(f"t_base must be finite and >= 0, got {t_base}")
-    if reg == POLYLOG and not 3.0 < kappa_factor <= 4.0:
-        raise PreconditionError(f"kappa_factor must be in (3, 4], got {kappa_factor}")
     if K_alpha is None and reg == POWER:
         m = choose_m(alpha, d, r0)
         try:
@@ -310,9 +309,8 @@ def make_params(
                 "and forced_m"
             )
     elif K_alpha is None:
-        K_alpha = k_alpha_min(alpha, d, r0=r0, kappa_factor=kappa_factor)
-    params = RegimeParams(alpha=alpha, d=d, K_alpha=K_alpha, r0=r0, t_base=t_base,
-                          kappa_factor=kappa_factor)
+        K_alpha = k_alpha_min(alpha, d, r0=r0)
+    params = RegimeParams(alpha=alpha, d=d, K_alpha=K_alpha, r0=r0, t_base=t_base)
     if t_base is None:
         params = replace(params, t_base=params.bound(r0))
     return params
@@ -348,7 +346,6 @@ class SchedulePlan:
     nodes: tuple[ScheduleNode, ...]
     mode: str
     q: int = 2
-    forced: bool = False
     lattice: LatticeSpec | None = None
 
     @property
@@ -452,8 +449,7 @@ def plan(
     q: int = 2,
     K_alpha: float | None = None,
     forced_m: list[int] | None = None,
-    mode: str = "integer-exact",
-    kappa_factor: float = 4.0,
+    mode: str = INTEGER_EXACT,
 ) -> SchedulePlan:
     """Build the recursion plan reaching side ``target_r`` from base side ``r0``.
 
@@ -469,16 +465,14 @@ def plan(
     """
     if not math.isfinite(target_r):
         raise PreconditionError(f"target side must be finite, got {target_r}")
-    params = make_params(
-        alpha, d, r0=r0, K_alpha=K_alpha, t_base=t_base, kappa_factor=kappa_factor
-    )
+    params = make_params(alpha, d, r0=r0, K_alpha=K_alpha, t_base=t_base)
     if q < 2:
         raise PreconditionError(f"q must be >= 2, got {q}")
     if target_r < r0:
         raise PreconditionError(f"target side {target_r} below base side {r0}")
-    if mode == "continuous-analytic":
+    if mode == CONTINUOUS:
         return _continuous_plan(params, target_r, q=q)
-    if mode != "integer-exact":
+    if mode != INTEGER_EXACT:
         raise PreconditionError(f"unknown mode {mode!r}")
     if float(target_r).is_integer():
         target_r = int(target_r)  # a refusal names side 50, not 50.0; 20.9 stays 20.9
@@ -503,9 +497,8 @@ def plan(
     return SchedulePlan(
         params=params,
         nodes=nodes,
-        mode="integer-exact",
+        mode=INTEGER_EXACT,
         q=q,
-        forced=forced_m is not None,
         lattice=LatticeSpec(d, sizes[-1], q),
     )
 
@@ -584,14 +577,14 @@ def _continuous_plan(params: RegimeParams, target_r, q: int = 2) -> SchedulePlan
     return SchedulePlan(
         params=params,
         nodes=_chain(params, r, _continuous_base(params, r, q), reversed(levels), q),
-        mode="continuous-analytic",
+        mode=CONTINUOUS,
         q=q,
     )
 
 
 def protocol_time(alpha: float, d: int, r) -> float:
     """Total encode time t(r) of the continuous-analytic plan from base side 2."""
-    return plan(alpha, d, r, r0=2, mode="continuous-analytic").t_total
+    return plan(alpha, d, r, r0=2, mode=CONTINUOUS).t_total
 
 
 def t_star(alpha: float, d: int, n) -> float:
@@ -600,11 +593,11 @@ def t_star(alpha: float, d: int, n) -> float:
     Unit-constant case values: log(n)**kappa, exp(gamma*sqrt(log(n)/d)),
     n**(alpha/d - 2).
     """
-    reg = regime(alpha, d)
-    if not 1 <= n < math.inf:
+    if not 1 <= n < math.inf:  # before the regime: a bounds row names its bad n first
         raise PreconditionError(f"n must be finite and >= 1, got {n}")
+    reg = regime(alpha, d)
     if reg == POLYLOG:
-        return math.log(n) ** _kappa(alpha, d, 4.0)
+        return math.log(n) ** _kappa(alpha, d)
     if reg == STRETCHED:
         return math.exp(_gamma(d) * math.sqrt(math.log(n) / d))
     return float(n) ** (alpha / d - 2.0)
@@ -620,6 +613,11 @@ def gate_count_upper(alpha: float, d: int, n) -> float:
         return float(n) ** 2 if reg != POWER else float(n) ** (alpha / d)
     except OverflowError:
         raise PreconditionError(f"gate-count bound overflows at n={n}") from None
+
+
+def _prev_best_exponent(alpha: float, d: int) -> float:
+    """Exponent of the previous best encode time r**(alpha-d), or r above alpha = d+1."""
+    return alpha - d if alpha < d + 1 else 1.0
 
 
 def table1_curves(alpha: float, d: int, r) -> dict:
@@ -647,7 +645,7 @@ def table1_curves(alpha: float, d: int, r) -> dict:
         encode_lc = r ** (alpha - 2.0)
     else:
         encode_lc = r ** ((alpha - 2 * d) / (alpha - d))
-    encode_prev = r ** (alpha - d) if alpha < d + 1 else r
+    encode_prev = r ** _prev_best_exponent(alpha, d)
 
     known_lc = logr if alpha <= 2 * d else r ** ((alpha - 2 * d) / (alpha - d + 1))
 

@@ -1,5 +1,6 @@
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,14 @@ from ghzlattice.errors import (
     UnreachableTargetError,
     UnsupportedRegimeError,
 )
-from ghzlattice.scheduler import choose_m, merge_duration, plan, protocol_time, t_star
+from ghzlattice.scheduler import (
+    choose_m,
+    k_alpha_min,
+    merge_duration,
+    plan,
+    protocol_time,
+    t_star,
+)
 
 
 def cli_csv(tmp_path, argv) -> list[list[str]]:
@@ -111,6 +119,32 @@ class TestExponentFits:
             with pytest.raises(PreconditionError, match="two points"):
                 fit(rs, ts)
 
+    @pytest.mark.parametrize("fit,rs,ts", [
+        (fit_loglog_slope, [2, 4], [1, -1]),  # returned NaN, with a RuntimeWarning
+        (fit_loglog_slope, [2, 4], [1, 0]),
+        (fit_loglog_slope, [2, 4], [1, math.inf]),
+        (fit_loglog_slope, [2, 4], [1, math.nan]),
+        (fit_loglog_slope, [0, 4], [1, 2]),  # raised LinAlgError
+        (fit_loglog_slope, [-2, 4], [1, 2]),
+        (fit_loglog_slope, [2, math.inf], [1, 2]),
+        (fit_sqrtlog_slope, [0.5, 2, 4], [1, 2, 3]),  # sqrt(log 0.5): LinAlgError
+        (fit_sqrtlog_slope, [2, math.nan, 4], [1, 2, 3]),
+        (fit_sqrtlog_slope, [2, 4], [1, -1]),
+        (fit_loglog_slope, [2, 2], [1, 2]),  # returned 0.25, with a RankWarning
+        (fit_sqrtlog_slope, [1, 1, 1], [1, 2, 3]),  # raised LinAlgError
+    ], ids=["log-t-negative", "log-t-zero", "log-t-inf", "log-t-nan", "log-r-zero",
+            "log-r-negative", "log-r-inf", "sqrtlog-r-below-1", "sqrtlog-r-nan",
+            "sqrtlog-t-negative", "log-r-one-value", "sqrtlog-r-one-value"])
+    def test_bad_input_refused(self, fit, rs, ts):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            with pytest.raises(PreconditionError, match="^[rt] must"):
+                fit(rs, ts)
+
+    def test_domain_edges_fit(self):
+        assert fit_loglog_slope([1e-3, 1], [1e-3, 1]) == pytest.approx(1.0, rel=1e-12)
+        assert fit_sqrtlog_slope([1, math.e], [1, math.e]) == pytest.approx(1.0, rel=1e-12)
+
     def test_polylog_decades_decreasing(self):
         exps = decade_exponents(1.5, 1, 2, 8)
         assert all(b < a for a, b in zip(exps, exps[1:]))
@@ -184,8 +218,13 @@ class TestGateBoundTable:
     (choose_m, (1.5, 1, math.inf), {}),  # floor(inf) overflows
     (merge_duration, (2.5, 1, 2, 2), {"q": 0}),  # 2/q divides by zero
     (t_star, (2.5, 1, math.nan), {}),  # returned nan
+    (k_alpha_min, (2.5, 1), {"m": math.nan}),  # raised PoleError
+    (k_alpha_min, (2.5, 1), {"m": 0}),  # raised PoleError
+    (k_alpha_min, (2.5, 1), {"m": -2}),  # compared a complex power: TypeError
+    (k_alpha_min, (2.5, 1), {"m": math.inf}),
 ], ids=["fitted_exponent-r_lo-0", "choose_m-nan", "choose_m-inf", "merge_duration-q-0",
-        "t_star-nan"])
+        "t_star-nan", "k_alpha_min-m-nan", "k_alpha_min-m-0", "k_alpha_min-m-negative",
+        "k_alpha_min-m-inf"])
 def test_analytic_helper_domain_is_a_precondition(helper, args, kw):
     with pytest.raises(PreconditionError):
         helper(*args, **kw)

@@ -1,10 +1,11 @@
 """The package's public names: exactly these, each one resolving."""
+import dataclasses
 import inspect
 
 import pytest
 
 import ghzlattice
-from ghzlattice import analysis, protocol, scheduler, simulator
+from ghzlattice import analysis, cli, protocol, scheduler, simulator
 
 PUBLIC = [
     "DEFAULT_AMP_CAP", "DivisibilityError", "EncodeRequest", "Gate", "GhzLatticeError",
@@ -46,3 +47,42 @@ def test_removed_name_is_gone(module, name):
 def test_gate_count_upper_takes_alpha_d_n():
     assert list(inspect.signature(scheduler.gate_count_upper).parameters) == [
         "alpha", "d", "n"]
+
+
+# the parameters of the scheduler's entry points, in order: kappa is fixed at
+# log 4/log(2d/alpha), so none takes a kappa factor
+SIGNATURES = [
+    (scheduler.plan, ["alpha", "d", "target_r", "r0", "t_base", "q", "K_alpha",
+                      "forced_m", "mode"]),
+    (scheduler.make_params, ["alpha", "d", "r0", "K_alpha", "t_base"]),
+    (scheduler.k_alpha_min, ["alpha", "d", "m", "r0"]),
+    (scheduler.bound_kernel, ["alpha", "d", "r"]),
+]
+
+
+@pytest.mark.parametrize("func,params", SIGNATURES, ids=[f.__name__ for f, _ in SIGNATURES])
+def test_scheduler_parameters(func, params):
+    assert list(inspect.signature(func).parameters) == params
+
+
+# each stored field is one a caller sets or reads
+FIELDS = [
+    (scheduler.RegimeParams, ["alpha", "d", "K_alpha", "r0", "t_base"]),
+    (scheduler.SchedulePlan, ["params", "nodes", "mode", "q", "lattice"]),
+    (protocol.ProtocolTrace, ["total_time", "final_fidelity", "records"]),
+]
+
+
+@pytest.mark.parametrize("cls,names", FIELDS, ids=[c.__name__ for c, _ in FIELDS])
+def test_fields(cls, names):
+    assert [f.name for f in dataclasses.fields(cls)] == names
+
+
+def test_no_kappa_factor_flag_or_config_key(tmp_path, capsys):
+    argv = ["plan", "--alpha", "1.5", "--r", "8"]
+    assert cli.run([*argv, "--kappa-factor", "3.5"]) == cli.EXIT_USAGE == 2
+    assert "--kappa-factor" in capsys.readouterr().err
+    config = tmp_path / "plan.cfg"
+    config.write_text("kappa-factor=3.5\n")
+    assert cli.run([*argv, "--config", str(config)]) == 2
+    assert "unknown config key 'kappa-factor'" in capsys.readouterr().err

@@ -208,14 +208,14 @@ class TestBoundT:
 class TestRegimeParams:
     def test_fields_are_the_chosen_values(self):
         assert [f.name for f in fields(RegimeParams)] == [
-            "alpha", "d", "K_alpha", "r0", "t_base", "kappa_factor"]
+            "alpha", "d", "K_alpha", "r0", "t_base"]
 
     def test_derived_constants(self):
-        params = make_params(1.5, 1, kappa_factor=3.5)
+        params = make_params(1.5, 1)
         assert params.regime == "polylog"
         assert params.gamma == 3.0
         assert params.lam == 2 / 1.5
-        assert params.kappa_alpha == math.log(3.5) / math.log(2 / 1.5)
+        assert params.kappa_alpha == math.log(4) / math.log(2 / 1.5)
         assert replace(params, alpha=2.5).regime == "power"
         assert replace(params, alpha=2.5).kappa_alpha is None
         with pytest.raises(AttributeError):
@@ -273,7 +273,9 @@ class TestPlan:
     def test_forced_m_tree(self):
         p = plan(2.5, 1, 16, r0=2, forced_m=[2, 2, 2])
         assert [n.r for n in p.nodes] == [16, 8, 4, 2]
-        assert p.forced and all(not n.is_base and n.forced for n in p.nodes[:-1])
+        assert all(not n.is_base and n.forced for n in p.nodes[:-1])
+        assert not p.nodes[-1].forced
+        assert not any(n.forced for n in plan(2.5, 1, 20, r0=2).nodes)
 
     def test_node_recursion_identity(self):
         p = plan(2.5, 1, 200, r0=2)
@@ -324,21 +326,6 @@ class TestPlan:
             p = plan(1.5, 1, 8, r0=2, K_alpha=1e-3)
         assert p.notes
         assert not p.certified
-
-    def test_kappa_factor_knob(self):
-        # tightening log4 -> log3.5 raises K but keeps the certificate valid
-        target = ladder_target(1.5, 1, 2, 3)
-        tight = plan(1.5, 1, target, r0=2, kappa_factor=3.5)
-        default = plan(1.5, 1, target, r0=2)
-        assert tight.params.K_alpha > default.params.K_alpha
-        assert tight.params.kappa_alpha < default.params.kappa_alpha
-        assert tight.certified
-
-    def test_kappa_factor_validation(self):
-        with pytest.raises(PreconditionError):
-            plan(1.5, 1, 8, r0=2, kappa_factor=3.0)
-        with pytest.raises(PreconditionError):  # checked even with K given
-            plan(1.5, 1, 8, r0=2, K_alpha=1.0, kappa_factor=math.nan)
 
     @pytest.mark.parametrize("kw", [
         {"K_alpha": math.nan}, {"K_alpha": math.inf}, {"K_alpha": 0.0},
