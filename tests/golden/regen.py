@@ -2,8 +2,10 @@
 
 Each plan runs CLI ``simulate`` (JSON, CSV and the ``--dump-amps`` CSV) and
 ``transfer`` (JSON and CSV, from site 0 to the last site) for three ``random:``
-tokens.  Each table command (``plan``, ``sweep``, ``bounds``) runs once as JSON
-and once as CSV.  Every output file is recorded as the SHA-256 of its bytes.  A
+tokens, and each once more with ``--no-verify`` (JSON, and the simulate's
+amplitude dump), since a verify-off run may take its own op stream.  Each
+table command (``plan``, ``sweep``, ``bounds``) runs once as JSON and once as
+CSV.  Every output file is recorded as the SHA-256 of its bytes.  A
 change that moves output bits on purpose reruns this script and says why the
 listed digests moved:
 
@@ -41,7 +43,8 @@ PLANS = {
                        "--force-m", "2,2"], 8),
 }
 TOKENS = ("random:11", "random:123456", "random:2024")
-PLAN_FILES = ("simulate.json", "simulate.csv", "amps.csv", "transfer.json", "transfer.csv")
+PLAN_FILES = ("simulate.json", "simulate.csv", "amps.csv", "transfer.json", "transfer.csv",
+              "simulate-noverify.json", "amps-noverify.csv", "transfer-noverify.json")
 
 # name -> argv of a command that prints a plan or a row table; the sweep and
 # bounds values are the benchmark's cold CLI session with its alphas fixed
@@ -87,6 +90,11 @@ def compute(plans=PLANS) -> dict:
                     _cli(["transfer", *flags, "--coeff", token, "--source", "0",
                           "--target", str(n_sites - 1), "--format", fmt,
                           "--out", files[f"transfer.{fmt}"]])
+                _cli(["simulate", *flags, "--coeff", token, "--no-verify",
+                      "--dump-amps", files["amps-noverify.csv"],
+                      "--out", files["simulate-noverify.json"]])
+                _cli(["transfer", *flags, "--coeff", token, "--no-verify", "--source", "0",
+                      "--target", str(n_sites - 1), "--out", files["transfer-noverify.json"]])
                 for f, path in files.items():
                     digests[f"{name} {token} {f}"] = _sha256(path)
     return digests
