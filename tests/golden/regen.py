@@ -25,9 +25,10 @@ from ghzlattice.cli import run
 
 DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
 
-# name -> (argv plan flags, number of sites); the last three hold dense
-# single-site gates at low strides whose window exceeds 64 amplitudes when
-# widened to site 0
+# name -> (argv plan flags, number of sites); qutrit9, qutrit12 and q5-chain8
+# hold dense single-site gates at low strides whose window exceeds 64
+# amplitudes when widened to site 0; the last three are regime-true plans that
+# certify (power at d=1 with m=10, power at d=2 with m=4, polylog with 2,2,2)
 PLANS = {
     "chain18-3-3": (["--alpha", "2.5", "--d", "1", "--r", "18", "--force-m", "3,3"], 18),
     "chain20-2-5": (["--alpha", "2.5", "--d", "1", "--r", "20", "--force-m", "2,5"], 20),
@@ -41,6 +42,9 @@ PLANS = {
                            "--r0", "3", "--force-m", "2,2"], 12),
     "q5-chain8-2-2": (["--alpha", "2.5", "--d", "1", "--r", "8", "--q", "5",
                        "--force-m", "2,2"], 8),
+    "certified-chain20": (["--alpha", "2.5", "--d", "1", "--r", "20"], 20),
+    "certified-grid4x4-r0-1": (["--alpha", "5", "--d", "2", "--r", "4", "--r0", "1"], 16),
+    "certified-polylog-chain16": (["--alpha", "1.5", "--d", "1", "--r", "16"], 16),
 }
 TOKENS = ("random:11", "random:123456", "random:2024")
 PLAN_FILES = ("simulate.json", "simulate.csv", "amps.csv", "transfer.json", "transfer.csv",

@@ -23,10 +23,10 @@ with open(regen.DIGESTS, encoding="utf-8") as _fh:
 
 
 def test_corpus_covers_every_plan_token_and_file():
-    # 8 plans x 3 tokens x 8 files (5 verified, 3 verify-off) + 5 tables x 2 formats
+    # 11 plans x 3 tokens x 8 files (5 verified, 3 verify-off) + 5 tables x 2 formats
     tables = len(regen.TABLES) * len(regen.FORMATS)
     assert len(GOLDEN) == len(regen.PLANS) * len(regen.TOKENS) * len(regen.PLAN_FILES) + tables
-    assert len(GOLDEN) == 8 * 3 * 8 + 5 * 2 == 202
+    assert len(GOLDEN) == 11 * 3 * 8 + 5 * 2 == 274
 
 
 @pytest.mark.parametrize("name", list(regen.PLANS))
