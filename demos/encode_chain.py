@@ -1,9 +1,10 @@
 """Encode an unknown qubit into a GHZ-like state across a 16-site chain.
 
 The source site holds (a, b) = (0.6, 0.8); everything else starts in |0>.
-Three merge levels (2 -> 4 -> 8 -> 16 sites) build the GHZ-like state, and the
-trace shows the analytic time and the fidelity against the expected state
-after every step.
+At alpha = 1.5 the scheduler's own plan merges by 2 at every level
+(2 -> 4 -> 8 -> 16 sites) and certifies: every node's time meets its bound.
+The trace shows the analytic time and the fidelity against the expected
+state after every step.
 """
 import numpy as np
 
@@ -20,7 +21,7 @@ from ghzlattice import (
 )
 
 lattice = LatticeSpec(dimension=1, side=16, levels=2)
-schedule = plan(alpha=2.5, d=1, target_r=16, r0=2, forced_m=[2, 2, 2])
+schedule = plan(alpha=1.5, d=1, target_r=16)
 
 coeffs = np.array([0.6, 0.8])
 sites = [basis_vector(2, 0) for _ in range(lattice.n_sites)]
@@ -31,7 +32,8 @@ request = EncodeRequest(lattice, lattice.full_region(), c=0,
                         coefficients=coeffs, plan=schedule)
 state, trace = encode(state, request)
 
-print("schedule: levels", schedule.levels, " total time %.4f" % schedule.t_total)
+print("schedule: levels", schedule.levels, " total time %.4f" % schedule.t_total,
+      " certified", schedule.certified)
 print("step trace (level, step, elapsed, fidelity):")
 for rec in trace.records:
     print(f"  level {rec.level}  step {rec.step}  "

@@ -125,7 +125,6 @@ _FLAGS = (
     ("verify", _RUNS, _bool, True, "record per-step fidelities against expected states"),
     ("dump-amps", ("simulate",), str, None, "also write an amplitude CSV to this path"),
     ("dump-threshold", ("simulate",), float, 1e-12, "amplitude magnitude cutoff for the dump"),
-    ("max-amps", _RUNS, int, simulator.DEFAULT_AMP_CAP, "statevector amplitude cap"),
 )
 # command -> name -> (converter, default, help)
 _OPTIONS = {cmd: {name: tuple(spec) for name, cmds, *spec in _FLAGS if cmd in cmds}
@@ -270,7 +269,7 @@ def _make_plan_and_state(o: dict, *sites: int):
     """The lattice, plan, coefficients and product state of a run whose source
     is ``sites[0]``; every site in ``sites`` must lie on the lattice."""
     lattice = LatticeSpec(o["d"], o["r"], o["q"])
-    simulator.check_capacity(lattice, o["max-amps"])
+    simulator.check_capacity(lattice)
     p = scheduler.plan(
         o["alpha"], o["d"], o["r"], r0=o["r0"], q=o["q"], forced_m=o["force-m"]
     )
@@ -280,7 +279,7 @@ def _make_plan_and_state(o: dict, *sites: int):
         if not 0 <= s < lattice.n_sites:
             raise OutOfBoundsError(f"site {s} outside the lattice")
     states[sites[0]] = coeffs
-    state = simulator.init_product(lattice, states, max_amps=o["max-amps"])
+    state = simulator.init_product(lattice, states)
     return lattice, p, coeffs, state
 
 

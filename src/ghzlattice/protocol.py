@@ -73,6 +73,7 @@ from .simulator import (
     apply_controlled_increment,
     apply_gate,
     basis_vector,
+    check_capacity,
     dft_matrix,
     evolve_phase,
 )
@@ -572,8 +573,8 @@ def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
          on_step, inverse: bool,
          overwrite: bool = False) -> tuple[StateVector, ProtocolTrace]:
-    """Check the start state's shape, then its content, then run the compiled
-    steps: forward to encode, backwards with each step's ops inverted to decode.
+    """Check the start state's shape, the run's memory, then the state's content;
+    run the compiled steps: forward to encode, backwards inverted to decode.
 
     A forward step is checked against the expected state after it; an inverted
     step against the state before it, which is the expected state after the
@@ -592,6 +593,7 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     buffer is given up to the hook, so the next op takes a fresh one.
     """
     _check_fits(state, req.lattice)
+    check_capacity(req.lattice)
     _check_stray_mass(state, req, inverse)
     machine = _get_machine(req, gate_mode)
     trace = ProtocolTrace(total_time=req.plan.t_total)

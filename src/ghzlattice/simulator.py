@@ -10,8 +10,11 @@ over a fresh array, or, given ``out``, writes its result into that array and
 returns a StateVector over it; ``out`` must be a C-contiguous complex128 array
 of the state's size that shares no memory with the input.  A protocol run
 ping-pongs between two such buffers, so it holds the input plus two working
-buffers, about 3x the state in bytes.  Every operation validates that the
-output stays normalized to 1e-10, which is the module's running invariant.
+buffers, about 3x the state in bytes.  With the merge phase weights that is
+the working set :func:`check_capacity` predicts, at 56 bytes per amplitude,
+and refuses above 2**26 amplitudes; every run and every full-size builder
+asks it first.  Every operation validates that the output stays normalized
+to 1e-10, which is the module's running invariant.
 
 A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
 ``site .. site+k-1``.  A monomial gate (exactly one nonzero per row:
@@ -47,8 +50,12 @@ import numpy as np
 from .errors import MemoryCapError, OutOfBoundsError, PreconditionError
 from .geometry import LatticeSpec, Region, site_mask
 
-#: Refuse to allocate statevectors beyond this many amplitudes (configurable per call).
-DEFAULT_AMP_CAP = 1 << 26
+# bytes per amplitude of a run's working set: the input and two working
+# buffers, the phase weights of a merge spanning the lattice (uint32 holds
+# every weight under the budget) and as many again for the sums that build
+# them; the budget is 2**26 amplitudes of it
+_RUN_BYTES_PER_AMP = 3 * 16 + 2 * 4
+_MEMORY_BUDGET = _RUN_BYTES_PER_AMP << 26
 
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-12
@@ -56,27 +63,23 @@ _UNITARY_TOL = 1e-12
 _PHASE_SLAB = 1 << 14
 
 
-def check_capacity(lattice: LatticeSpec, max_amps: int | None = None) -> int:
-    """Number of amplitudes q**n of a state over ``lattice``, or a
-    MemoryCapError refusal if over the cap.
+def check_capacity(lattice: LatticeSpec) -> int:
+    """Predicted peak bytes of an encode, decode or transfer over ``lattice``,
+    or a MemoryCapError refusal above the module's memory budget.
 
-    The cap counts amplitudes of one state (16 bytes each).  An encode, decode
-    or transfer holds the input plus two working buffers, so its peak is about
-    3x that state in bytes.  The refusal reads d * log2(max(side, 2)) first,
-    then n * log2(q), so neither side**d nor q**n is computed unless it fits:
-    either may be too large to ever finish.
+    The prediction is q**n amplitudes times 56 bytes: the input and the two
+    working buffers (16 bytes each), and the merge phase weights with their
+    build's partial sums (at most 8).  So a lattice is refused exactly when it
+    has more than 2**26 amplitudes, whatever its q.  The refusal reads
+    d * log2(max(side, 2)) first, then n * log2(q), so neither side**d nor
+    q**n is computed unless it fits: either may be too large to ever finish.
     """
-    cap = DEFAULT_AMP_CAP if max_amps is None else max_amps
     if (lattice.dimension * math.log2(max(lattice.side, 2)) > 62
-            or lattice.n_sites * math.log2(lattice.levels) > 62):
-        raise MemoryCapError(f"a statevector over {lattice} exceeds the cap {cap}")
-    q, n = lattice.levels, lattice.n_sites
-    size = q**n
-    if size > cap:
-        raise MemoryCapError(
-            f"statevector of q**n = {q}**{n} = {size} amplitudes exceeds the cap {cap}"
-        )
-    return size
+            or lattice.n_sites * math.log2(lattice.levels) > 62
+            or lattice.levels**lattice.n_sites * _RUN_BYTES_PER_AMP > _MEMORY_BUDGET):
+        raise MemoryCapError(f"a run over {lattice} needs more than the memory "
+                             f"budget of {_MEMORY_BUDGET} bytes")
+    return lattice.levels**lattice.n_sites * _RUN_BYTES_PER_AMP
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,16 +111,14 @@ class StateVector:
         return self.amps.reshape((self.q,) * self.n)
 
 
-def init_product(
-    lattice: LatticeSpec, site_states, max_amps: int | None = None
-) -> StateVector:
+def init_product(lattice: LatticeSpec, site_states) -> StateVector:
     """Tensor product of per-site states, one q-vector per site in flat order.
 
     The only builder of a product state: the kron products of the high and of
     the low half of the sites are each about sqrt(q**n) amplitudes, and their
     outer product is written once, so the build peaks at about one state.
     """
-    check_capacity(lattice, max_amps)
+    check_capacity(lattice)
     q, n = lattice.levels, lattice.n_sites
     states = [np.asarray(s, dtype=np.complex128).reshape(-1) for s in site_states]
     if len(states) != n:
@@ -435,8 +436,8 @@ def expected_ghz(
     ``rest`` optionally maps complement flat indices to q-vectors; unlisted
     complement sites stay in |0>, and a key that is not a lattice site outside
     the region is refused.  Each branch is an :func:`init_product` state, so
-    the build peaks at about two states beside the sum.  The default
-    amplitude cap applies.
+    the build peaks at about two states beside the sum.  A lattice
+    :func:`check_capacity` refuses is refused.
     """
     check_capacity(lattice)
     q, n = lattice.levels, lattice.n_sites

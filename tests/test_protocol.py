@@ -17,6 +17,7 @@ import ghzlattice.protocol as protocol
 import ghzlattice.simulator as simulator
 
 from ghzlattice.errors import (
+    MemoryCapError,
     OutOfBoundsError,
     PlanMismatchError,
     PreconditionError,
@@ -386,6 +387,32 @@ class TestDecode:
         out, _ = encode(init_product(lat, states), req, verify=False)
         want = expected_ghz(region, lat, [0.6, 0.8], rest={4: basis_vector(2, 1)})
         assert fidelity(out, want) >= FIDELITY_BAR
+
+
+# (plan arguments, merge factors) of regime-true plans
+# that certify and fit a statevector, one per regime that has one; the golden
+# corpus pins their CLI output
+CERTIFIED = {
+    "power-d1": (dict(alpha=2.5, d=1, target_r=20), [10]),
+    "power-d2": (dict(alpha=5, d=2, target_r=4, r0=1), [4]),
+    "polylog": (dict(alpha=1.5, d=1, target_r=16), [2, 2, 2]),
+}
+
+
+class TestCertifiedPlans:
+    @pytest.mark.parametrize("name", list(CERTIFIED))
+    def test_certified_plan_encodes_within_its_bound(self, name):
+        kwargs, ms = CERTIFIED[name]
+        p = plan(**kwargs)
+        assert p.certified and p.notes == ()
+        assert [node.m for node in p.nodes[:-1]] == ms
+        lat = p.lattice
+        coeffs = haar_qubit(np.random.default_rng(len(name)))
+        req = EncodeRequest(lat, lat.full_region(), 0, coeffs, p)
+        _, trace = encode(source_state(lat, 0, coeffs), req)
+        r = kwargs["target_r"]
+        assert trace.total_time == p.t_total <= p.params.bound(r) * (1 + 1e-9)
+        assert trace.final_fidelity >= FIDELITY_BAR
 
 
 class TestStateTransfer:
@@ -1182,9 +1209,10 @@ class TestStrayMassGuard:
 
 
 def _encode_rss_child(n: int, forced: list[int], verify: bool = True,
-                      target: int | None = None) -> str:
+                      target: int | None = None, from_input: bool = False) -> str:
     """Script that encodes a qubit into an n-site chain, or transfers it from
-    site 0 to ``target``, printing its peak-RSS growth."""
+    site 0 to ``target``, printing its peak-RSS growth over the run, or with
+    ``from_input`` over the input's build and the run."""
     if target is None:
         call = f"encode(state, req, verify={verify})"
     else:
@@ -1199,10 +1227,11 @@ lat = LatticeSpec(1, {n})
 coeffs = np.array([0.6, 0.8j])
 states = [basis_vector(2, 0)] * {n}
 states[0] = coeffs
+{"before = peak_rss()" if from_input else ""}
 state = init_product(lat, states)
 req = EncodeRequest(lat, lat.full_region(), 0, coeffs,
                     plan(2.5, 1, {n}, r0=2, forced_m={forced}))
-before = peak_rss()
+{"" if from_input else "before = peak_rss()"}
 _, trace = {call}
 after = peak_rss()
 assert {check}
@@ -1243,6 +1272,54 @@ def test_transfer_peak_memory_2_22(rss_growth):
     each): its ops ping-pong between two working buffers, decode reuses the
     encoded intermediate, and no full-size phase vector is cached."""
     assert rss_growth(_encode_rss_child(22, [11], target=21)) <= 3 * 64 * 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
+@pytest.mark.parametrize("n,forced", [(20, [2, 5]), (22, [11])])
+def test_transfer_peak_within_predicted_working_set(rss_growth, n, forced):
+    """A verified transfer's peak-RSS growth, counted from before its input is
+    built, stays within the working set check_capacity predicts plus one fixed
+    overhead of 48 MiB: the interpreter's and the BLAS threads' own buffers."""
+    growth = rss_growth(_encode_rss_child(n, forced, target=n - 1, from_input=True))
+    assert growth <= simulator.check_capacity(chain(n)) + 48 * 2**20
+
+
+class TestMemoryBudget:
+    """Every run asks check_capacity before it allocates a working buffer, so
+    a state built directly, without init_product, is refused too."""
+
+    LAT = chain(4)
+
+    @pytest.fixture(autouse=True)
+    def lowered_budget(self, monkeypatch):
+        # the 4-site chain needs one byte more than the budget; any working
+        # buffer allocated before the refusal fails the test
+        monkeypatch.setattr(simulator, "_MEMORY_BUDGET", simulator.check_capacity(self.LAT) - 1)
+
+        def no_buffer(*args, **kwargs):
+            raise AssertionError("a working buffer was allocated")
+        monkeypatch.setattr(np, "empty_like", no_buffer)
+
+    def amps(self, *levels):
+        """0.6|levels[0]> + 0.8|levels[1]> over the 4 sites, as flat indices."""
+        v = np.zeros(16, dtype=complex)
+        v[list(levels)] = [0.6, 0.8]
+        return StateVector(2, 4, v)
+
+    def test_encode(self):
+        req = request(self.LAT, [0.6, 0.8], [2])
+        with pytest.raises(MemoryCapError):
+            encode(self.amps(0, 1), req)
+
+    def test_decode(self):
+        req = request(self.LAT, [0.6, 0.8], [2])
+        with pytest.raises(MemoryCapError):
+            decode(self.amps(0, 15), req)
+
+    def test_state_transfer(self):
+        p = plan(2.5, 1, 4, forced_m=[2])
+        with pytest.raises(MemoryCapError):
+            state_transfer(self.amps(0, 1), 0, 3, self.LAT.full_region(), p)
 
 
 # (d, q, r0, forced_m) with at most 2**12 amplitudes

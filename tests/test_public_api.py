@@ -8,7 +8,7 @@ import ghzlattice
 from ghzlattice import analysis, cli, protocol, scheduler, simulator
 
 PUBLIC = [
-    "DEFAULT_AMP_CAP", "DivisibilityError", "EncodeRequest", "Gate", "GhzLatticeError",
+    "DivisibilityError", "EncodeRequest", "Gate", "GhzLatticeError",
     "LatticeSpec", "MemoryCapError", "OutOfBoundsError", "PhaseCoupling",
     "PlanMismatchError", "PoleError", "PreconditionError", "ProtocolTrace",
     "RegimeParams", "Region", "ScalingRow", "ScheduleNode", "SchedulePlan",
@@ -29,12 +29,13 @@ REMOVED = [
     (simulator, "hadamard_matrix"),
     (protocol, "verify_step"),
     (analysis, "speedup_crossover"),
+    (simulator, "DEFAULT_AMP_CAP"),
 ]
 
 
 def test_all_is_pinned_and_resolves():
     assert sorted(ghzlattice.__all__) == PUBLIC
-    assert len(set(ghzlattice.__all__)) == len(PUBLIC) == 56
+    assert len(set(ghzlattice.__all__)) == len(PUBLIC) == 55
     assert [name for name in PUBLIC if not hasattr(ghzlattice, name)] == []
 
 
@@ -78,11 +79,36 @@ def test_fields(cls, names):
     assert [f.name for f in dataclasses.fields(cls)] == names
 
 
-def test_no_kappa_factor_flag_or_config_key(tmp_path, capsys):
-    argv = ["plan", "--alpha", "1.5", "--r", "8"]
-    assert cli.run([*argv, "--kappa-factor", "3.5"]) == cli.EXIT_USAGE == 2
-    assert "--kappa-factor" in capsys.readouterr().err
-    config = tmp_path / "plan.cfg"
-    config.write_text("kappa-factor=3.5\n")
+# the memory budget is one private constant: no library function takes a cap
+CAPLESS = [
+    (simulator.check_capacity, ["lattice"]),
+    (simulator.init_product, ["lattice", "site_states"]),
+]
+
+
+@pytest.mark.parametrize("func,params", CAPLESS, ids=[f.__name__ for f, _ in CAPLESS])
+def test_no_cap_parameter(func, params):
+    assert list(inspect.signature(func).parameters) == params
+
+
+def _assert_option_refused(tmp_path, capsys, argv, key, value):
+    """``--key value`` and the config key ``key`` are both usage errors."""
+    assert cli.run([*argv, f"--{key}", value]) == cli.EXIT_USAGE == 2
+    assert f"--{key}" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
     assert cli.run([*argv, "--config", str(config)]) == 2
-    assert "unknown config key 'kappa-factor'" in capsys.readouterr().err
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_no_kappa_factor_flag_or_config_key(tmp_path, capsys):
+    _assert_option_refused(tmp_path, capsys, ["plan", "--alpha", "1.5", "--r", "8"],
+                           "kappa-factor", "3.5")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--alpha", "2.5", "--r", "4", "--coeff", "1,0"],
+    ["transfer", "--alpha", "2.5", "--r", "4", "--coeff", "1,0", "--target", "3"],
+], ids=["simulate", "transfer"])
+def test_no_max_amps_flag_or_config_key(tmp_path, capsys, argv):
+    _assert_option_refused(tmp_path, capsys, argv, "max-amps", "8")

@@ -32,10 +32,9 @@ RNG = np.random.default_rng(20240817)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def ground(lattice, max_amps=None):
+def ground(lattice):
     """Every site of ``lattice`` in level 0."""
-    return init_product(lattice, [basis_vector(lattice.levels, 0)] * lattice.n_sites,
-                        max_amps=max_amps)
+    return init_product(lattice, [basis_vector(lattice.levels, 0)] * lattice.n_sites)
 
 
 def cli_dump(path, *flags) -> int:
@@ -757,7 +756,19 @@ class TestExpectedGhz:
 class TestCapacityAndDump:
     def test_refusal(self):
         with pytest.raises(MemoryCapError):
-            ground(LatticeSpec(1, 27))  # 2**27 > default cap
+            ground(LatticeSpec(1, 27))  # 2**27 amplitudes, over the budget
+
+    @pytest.mark.parametrize("q", range(2, 9))
+    def test_budget_admits_exactly_2_pow_26_amplitudes(self, q):
+        # the rule is arithmetic on the lattice: no state is built
+        top = max(n for n in range(1, 27) if q**n <= 2**26)
+        for n in range(top - 2, top + 3):
+            lattice = LatticeSpec(1, n, q)
+            if q**n <= 2**26:
+                assert check_capacity(lattice) == 56 * q**n
+            else:
+                with pytest.raises(MemoryCapError, match="memory budget"):
+                    check_capacity(lattice)
 
     def test_refusal_without_materializing(self):
         with pytest.raises(MemoryCapError):
@@ -775,11 +786,6 @@ class TestCapacityAndDump:
                       lambda: expected_ghz(None, lattice, [1, 0])):
             with pytest.raises(MemoryCapError):
                 build()
-
-    def test_custom_cap(self):
-        with pytest.raises(MemoryCapError):
-            ground(LatticeSpec(1, 4), max_amps=8)
-        assert ground(LatticeSpec(1, 4), max_amps=16).amps.size == 16
 
     def test_dump_rows(self):
         lat = LatticeSpec(1, 3)
