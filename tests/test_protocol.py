@@ -389,9 +389,9 @@ class TestDecode:
         assert fidelity(out, want) >= FIDELITY_BAR
 
 
-# (plan arguments, merge factors) of regime-true plans
-# that certify and fit a statevector, one per regime that has one; the golden
-# corpus pins their CLI output
+# (plan arguments, merge factors) of regime-true plans that certify and fit a
+# statevector, one per regime that has one; the golden corpus pins their CLI
+# output
 CERTIFIED = {
     "power-d1": (dict(alpha=2.5, d=1, target_r=20), [10]),
     "power-d2": (dict(alpha=5, d=2, target_r=4, r0=1), [4]),
