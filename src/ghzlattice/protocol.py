@@ -69,7 +69,7 @@ from .simulator import (
     Gate,
     PhaseCoupling,
     StateVector,
-    _root_of_unity,
+    _roots,
     apply_controlled_increment,
     apply_gate,
     basis_vector,
@@ -341,7 +341,6 @@ class _Machine:
         self.c = c
         self.q = lattice.levels
         self.c_coord = lattice.coord(c)
-        self.gate = dft_matrix(self.q)
 
         # nodes[level]: level 0 is the base case, level L the plan root
         nodes = plan.nodes[::-1]
@@ -374,8 +373,12 @@ class _Machine:
 
     def _compile(self) -> list[tuple]:
         @cache
+        def rotation() -> np.ndarray:  # built on first use: a base-only plan has none
+            return dft_matrix(self.q)
+
+        @cache
         def gate(site: int) -> tuple:
-            return (_BLOCK, Gate(self.gate, site), Gate(self.gate.conj().T, site))
+            return (_BLOCK, Gate(rotation(), site), Gate(rotation().conj().T, site))
 
         def merge_steps(cubes: list[Region], level: int) -> list[list]:
             """Steps 2-5 of a merge: phase, concentrate, rotate, redistribute."""
@@ -489,8 +492,7 @@ class _Machine:
         for st in strides:
             x_sum = (x_sum[:, None] + np.arange(q)).ravel()
             tgt = (tgt[:, None] + np.arange(q) * st).ravel()
-        omega = np.array([_root_of_unity(-k, q) for k in range(q)])
-        weight = omega[(lv * x_sum) % q] / math.sqrt(q) ** len(strides)
+        weight = _roots(q)[(-lv * x_sum) % q] / math.sqrt(q) ** len(strides)
         return lv * stride(merge.control) + tgt, np.broadcast_to(lv, weight.shape), weight
 
 

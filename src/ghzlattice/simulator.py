@@ -12,7 +12,8 @@ of the state's size that shares no memory with the input.  A protocol run
 ping-pongs between two such buffers, so it holds the input plus two working
 buffers, about 3x the state in bytes.  With the merge phase weights that is
 the working set :func:`check_capacity` predicts, at 56 bytes per amplitude,
-and refuses above 2**26 amplitudes; every run and every full-size builder
+or at 384 bytes per q**2 where the q-level builds outweigh the states; it
+refuses above 56 * 2**26 bytes, and every run and every full-size builder
 asks it first.  Every operation validates that the output stays normalized
 to 1e-10, which is the module's running invariant.
 
@@ -55,6 +56,10 @@ from .geometry import LatticeSpec, Region, site_mask
 # every weight under the budget) and as many again for the sums that build
 # them; the budget is 2**26 amplitudes of it
 _RUN_BYTES_PER_AMP = 3 * 16 + 2 * 4
+# bytes per q**2 of a run whose q-level builds outweigh its states (on two
+# sites: the rotations, the phase table and the verification terms); a verified
+# two-site transfer grew peak RSS by 370 bytes per q**2 from q = 256 to 1024
+_LEVEL_BYTES = 384
 _MEMORY_BUDGET = _RUN_BYTES_PER_AMP << 26
 
 _NORM_TOL = 1e-10
@@ -67,19 +72,25 @@ def check_capacity(lattice: LatticeSpec) -> int:
     """Predicted peak bytes of an encode, decode or transfer over ``lattice``,
     or a MemoryCapError refusal above the module's memory budget.
 
-    The prediction is q**n amplitudes times 56 bytes: the input and the two
-    working buffers (16 bytes each), and the merge phase weights with their
-    build's partial sums (at most 8).  So a lattice is refused exactly when it
-    has more than 2**26 amplitudes, whatever its q.  The refusal reads
+    The prediction is the larger of two terms.  q**n amplitudes times 56
+    bytes: the input and the two working buffers (16 bytes each), and the
+    merge phase weights with their build's partial sums (at most 8).  And q**2
+    times 384 bytes: the q-level builds, the q x q rotations, the merge phase
+    table and the verification terms, which outweigh the states on a lattice
+    of few sites and many levels.  The budget is 56 * 2**26 bytes, so a
+    lattice of q <= 8 is refused exactly when it has more than 2**26
+    amplitudes, and a two-site one above q = 3128.  The refusal reads
     d * log2(max(side, 2)) first, then n * log2(q), so neither side**d nor
     q**n is computed unless it fits: either may be too large to ever finish.
     """
+    q = lattice.levels
     if (lattice.dimension * math.log2(max(lattice.side, 2)) > 62
-            or lattice.n_sites * math.log2(lattice.levels) > 62
-            or lattice.levels**lattice.n_sites * _RUN_BYTES_PER_AMP > _MEMORY_BUDGET):
+            or lattice.n_sites * math.log2(q) > 62
+            or (need := max(q**lattice.n_sites * _RUN_BYTES_PER_AMP,
+                            q**2 * _LEVEL_BYTES)) > _MEMORY_BUDGET):
         raise MemoryCapError(f"a run over {lattice} needs more than the memory "
                              f"budget of {_MEMORY_BUDGET} bytes")
-    return lattice.levels**lattice.n_sites * _RUN_BYTES_PER_AMP
+    return need
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,25 +212,24 @@ def _monomial(mat: np.ndarray) -> tuple:
     return perm, None if np.all(phases == 1) else phases
 
 
-def _root_of_unity(k: int, q: int) -> complex:
-    # exact values at quarter angles so dft_matrix(2) is bitwise the Hadamard
-    k %= q
-    if (4 * k) % q == 0:
-        return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[(4 * k) // q]
-    return complex(np.exp(2j * np.pi * k / q))
+def _roots(q: int) -> np.ndarray:
+    """The q roots of unity omega**k, k = 0..q-1, omega = e^(2 pi i / q), each
+    from the scalar exp, or exact at quarter angles so dft_matrix(2) is
+    bitwise the Hadamard."""
+    quarter = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+    return np.array([quarter[4 * k // q] if (4 * k) % q == 0
+                     else complex(np.exp(2j * np.pi * k / q)) for k in range(q)])
 
 
 def dft_matrix(q: int) -> np.ndarray:
     """Discrete Fourier transform F[j, k] = omega**(j*k) / sqrt(q), omega = e^(2 pi i / q).
 
     Maps the phase ladder sum_k omega**(-l*k) |k> / sqrt(q) back to |l>; its
-    q=2 instance is exactly the Hadamard.
+    q=2 instance is exactly the Hadamard.  Each entry is looked up in the one
+    table of the q roots.
     """
-    mat = np.array(
-        [[_root_of_unity(j * k, q) for k in range(q)] for j in range(q)],
-        dtype=np.complex128,
-    )
-    return mat / np.sqrt(float(q))
+    k = np.arange(q)
+    return _roots(q)[np.outer(k, k) % q] / np.sqrt(float(q))
 
 
 def _output(state: StateVector, out: np.ndarray | None) -> np.ndarray:
@@ -425,19 +435,12 @@ def fidelity(x: StateVector, y: StateVector) -> float:
     return float(np.minimum(1.0, abs(np.vdot(x.amps, y.amps)) ** 2))
 
 
-def expected_ghz(
-    region: Region,
-    lattice: LatticeSpec,
-    coefficients,
-    rest=None,
-) -> StateVector:
-    """sum_l a_l |l...l>_region tensored with a product background elsewhere.
+def expected_ghz(region: Region, lattice: LatticeSpec, coefficients) -> StateVector:
+    """sum_l a_l |l...l>_region, every site outside the region in |0>.
 
-    ``rest`` optionally maps complement flat indices to q-vectors; unlisted
-    complement sites stay in |0>, and a key that is not a lattice site outside
-    the region is refused.  Each branch is an :func:`init_product` state, so
-    the build peaks at about two states beside the sum.  A lattice
-    :func:`check_capacity` refuses is refused.
+    The state has q nonzero amplitudes: a_l at flat index l * sum_{s in region}
+    q**s, written into one zero state.  A lattice :func:`check_capacity`
+    refuses is refused.
     """
     check_capacity(lattice)
     q, n = lattice.levels, lattice.n_sites
@@ -446,18 +449,8 @@ def expected_ghz(
         raise PreconditionError(f"need {q} coefficients, got {coeffs.size}")
     if not abs(np.sum(np.abs(coeffs) ** 2) - 1.0) <= _NORM_TOL:
         raise PreconditionError("coefficients are not normalized")
-    region_sites = set(site_mask(region, lattice).tolist())
-    rest = {} if rest is None else {int(k): v for k, v in rest.items()}
-    stray = sorted(s for s in rest if not 0 <= s < n or s in region_sites)
-    if stray:
-        raise PreconditionError(f"rest sites {stray} are not lattice sites outside the region")
     amps = np.zeros(q**n, dtype=np.complex128)
-    for level in range(q):
-        if coeffs[level] == 0:
-            continue
-        states = [basis_vector(q, level) if s in region_sites
-                  else rest.get(s, basis_vector(q, 0)) for s in range(n)]
-        amps += coeffs[level] * init_product(lattice, states).amps
+    amps[np.arange(q) * sum(q**s for s in site_mask(region, lattice).tolist())] = coeffs
     return StateVector(q, n, amps)
 
 

@@ -79,10 +79,12 @@ def test_fields(cls, names):
     assert [f.name for f in dataclasses.fields(cls)] == names
 
 
-# the memory budget is one private constant: no library function takes a cap
+# the memory budget is one private constant: no library function takes a cap;
+# and a GHZ target has every site outside its region in |0>, with no background
 CAPLESS = [
     (simulator.check_capacity, ["lattice"]),
     (simulator.init_product, ["lattice", "site_states"]),
+    (simulator.expected_ghz, ["region", "lattice", "coefficients"]),
 ]
 
 

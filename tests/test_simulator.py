@@ -1,7 +1,7 @@
 import itertools
 import math
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -156,12 +156,13 @@ print(after - before)
 @pytest.mark.skipif(sys.platform != "linux", reason="peak_rss reads VmHWM from /proc")
 @pytest.mark.parametrize("build,most", [
     ("init_product(lat, states)", 1.1),
-    ("expected_ghz(lat.full_region(), lat, [0.6, 0.8j])", 3.1),
+    ("expected_ghz(lat.full_region(), lat, [0.6, 0.8j])", 1.1),
 ], ids=["init_product", "expected_ghz"])
 def test_build_peak_memory_2_22(rss_growth, build, most):
     """A 2^22 product state (64 MiB) grows peak RSS by about one state: the
     halves' kron products hold 2^11 amplitudes each, and their outer product
-    is written once.  A GHZ target adds its q branches into one sum."""
+    is written once.  A GHZ target writes its q amplitudes into one zero
+    state."""
     assert rss_growth(_BUILD_RSS_CHILD.format(build=build)) <= most * 64 * 2**20
 
 
@@ -185,6 +186,21 @@ class TestGates:
         # compared as bit patterns: array_equal takes -0.0 == 0.0, and the
         # protocol's Hadamard mode runs the DFT machine on this equality
         assert np.array_equal(dft_matrix(2).view(np.int64), HADAMARD.view(np.int64))
+
+    @pytest.mark.parametrize("q", [*range(2, 65), 1000, 1024])
+    def test_dft_bitwise_per_entry_rule(self, q):
+        # the rule dft_matrix had entry by entry: omega**(j*k mod q) from the
+        # scalar exp, exact at quarter angles, over sqrt(q); memoized on
+        # j*k mod q only to keep q = 1024 quick
+        @cache
+        def root(k):
+            if 4 * k % q == 0:
+                return (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[4 * k // q]
+            return complex(np.exp(2j * np.pi * k / q))
+
+        rule = np.array([[root(j * k % q) for k in range(q)] for j in range(q)],
+                        dtype=np.complex128) / np.sqrt(float(q))
+        assert np.array_equal(dft_matrix(q).view(np.int64), rule.view(np.int64))
 
     def test_dft_unitary(self):
         for q in (2, 3, 4, 5, 7):
@@ -720,28 +736,6 @@ class TestExpectedGhz:
         for idx in (0, 4, 8):  # |00>, |11>, |22>
             assert state.amps[idx] == pytest.approx(1 / math.sqrt(3))
 
-    def test_subregion_with_background(self):
-        lat = LatticeSpec(1, 3)
-        region = Region((0,), 2)
-        plus = np.array([1, 1]) / math.sqrt(2)
-        state = expected_ghz(region, lat, [0.6, 0.8], rest={2: plus})
-        # site 2 in |+>, GHZ over sites 0,1
-        assert state.amps[0b000] == pytest.approx(0.6 / math.sqrt(2))
-        assert state.amps[0b100] == pytest.approx(0.6 / math.sqrt(2))
-        assert state.amps[0b011] == pytest.approx(0.8 / math.sqrt(2))
-        assert state.amps[0b111] == pytest.approx(0.8 / math.sqrt(2))
-
-    @pytest.mark.parametrize("rest,message", [
-        ({2: [1, 0, 0]}, "site 2 state has 3 entries"),
-        ({99: [1, 0]}, r"rest sites \[99\]"),
-        ({-1: [1, 0]}, r"rest sites \[-1\]"),
-        ({0: [1, 0]}, r"rest sites \[0\]"),
-    ], ids=["wrong-size", "off-lattice", "negative", "inside-region"])
-    def test_bad_rest_rejected(self, rest, message):
-        # rest maps lattice sites outside the region to q-vectors
-        with pytest.raises(PreconditionError, match=message):
-            expected_ghz(Region((0,), 2), LatticeSpec(1, 3), [0.6, 0.8], rest=rest)
-
     def test_unnormalized_rejected(self):
         lat = LatticeSpec(1, 2)
         with pytest.raises(PreconditionError):
@@ -769,6 +763,16 @@ class TestCapacityAndDump:
             else:
                 with pytest.raises(MemoryCapError, match="memory budget"):
                     check_capacity(lattice)
+
+    @pytest.mark.parametrize("lattice", [
+        LatticeSpec(1, 2, 4096), LatticeSpec(1, 2, 8192), LatticeSpec(1, 1, 65536),
+    ], ids=["2-sites-q4096", "2-sites-q8192", "1-site-q65536"])
+    def test_many_levels_refused(self, lattice):
+        # few amplitudes, but q x q rotations, phase tables and verification
+        # terms over the budget
+        assert lattice.levels**lattice.n_sites <= 2**26
+        with pytest.raises(MemoryCapError, match="memory budget"):
+            check_capacity(lattice)
 
     def test_refusal_without_materializing(self):
         with pytest.raises(MemoryCapError):
