@@ -736,6 +736,14 @@ class TestExpectedGhz:
         for idx in (0, 4, 8):  # |00>, |11>, |22>
             assert state.amps[idx] == pytest.approx(1 / math.sqrt(3))
 
+    def test_subregion(self):
+        # GHZ over sites 1 and 2 of a qutrit 4-chain, sites 0 and 3 in |0>
+        lat = LatticeSpec(1, 4, 3)
+        state = expected_ghz(Region((1,), 2), lat, [0.6, 0.0, 0.8j])
+        want = np.zeros(81, dtype=complex)
+        want[[0, 2 * (3 + 9)]] = [0.6, 0.8j]
+        assert np.array_equal(state.amps, want)
+
     def test_unnormalized_rejected(self):
         lat = LatticeSpec(1, 2)
         with pytest.raises(PreconditionError):
