@@ -4,17 +4,20 @@ The protocol is one fixed unitary: the applied ops depend on the geometry but
 never on the encoded coefficients, so encoding is exactly linear in the input
 state.  It is compiled once per (lattice, region, c, plan) into a flat list
 of steps, one per trace record, each holding its ops: single-site gates,
-controlled increments and diagonal phase evolutions.  Each run of
-consecutive ops within a step whose sites fit one window is then fused into
+controlled increments and diagonal phase evolutions.  Each step's ops are
+then split into consecutive runs whose sites fit one window, each fused into
 one window block.  A run of increments and phases only is monomial: it fuses
 up to 256 amplitudes and is held as its gather (a permutation and phases),
 built by running the ops on a k-site scratch state.  A run holding a dense
 single-site gate fuses up to 64 amplitudes into a dense unitary, built by
 running the ops on the identity.  A window starts at site 0 when its low
-stride q**site is below 8.  So the stream that runs holds three op kinds:
-window blocks, and the increments and phases too wide for a window.  Fusion
-never crosses a step, so every step ends on the same state as the unfused ops
-would give.
+stride q**site is below 8.  The split is the one of least modelled cost,
+found exactly by dynamic programming (:func:`_fuse`): a block costs one pass
+over the state, and a dense block also its window's amplitudes over 32, the
+multiplies it spends per amplitude.  So the stream that runs holds three op
+kinds: window blocks, and the increments and phases too wide for a window.
+Fusion never crosses a step, so every step ends on the same state as the
+unfused ops would give, and a run reads the state's norm once per step.
 
 Encode runs the steps forward.  Decode walks the same list backwards,
 inverting each step's ops as it goes (a block by its conjugate transpose, an
@@ -70,6 +73,7 @@ from .simulator import (
     PhaseCoupling,
     StateVector,
     _roots,
+    _vdot,
     apply_controlled_increment,
     apply_gate,
     basis_vector,
@@ -169,6 +173,8 @@ _PHASE = "phase"  # (_PHASE, coupling, duration)
 
 #: Largest window a block holding a dense gate may span, in amplitudes.
 _DENSE_AMPS = 64
+#: A dense block's window amplitudes per modelled pass of its multiplies.
+_DENSE_COST = 32
 #: Largest window a monomial block (increments and phases only) may span.
 _GATHER_AMPS = 256
 #: A window whose low stride q**site is below this starts at site 0.
@@ -196,17 +202,18 @@ def _inverted(ops: list) -> list:
 
 
 def _apply(state: StateVector, op: tuple, out: np.ndarray | None = None,
-           kernels: tuple | None = None) -> StateVector:
+           check: bool = True, kernels: tuple | None = None) -> StateVector:
     # the kernels are looked up in this module on every call, never stored in
     # the ops, so rebinding them here reaches the whole stream; every argument
-    # goes positionally, as a rebound counter takes them
+    # goes positionally, as a rebound counter takes them, down to the kernels'
+    # private trailing flag that, False, leaves the output's norm unread
     gate, increment, phase = kernels or (apply_gate, apply_controlled_increment,
                                          evolve_phase)
     if op[0] == _BLOCK:
-        return gate(state, op[1], out)
+        return gate(state, op[1], out, check)
     if op[0] == _INC:
-        return increment(state, op[1], op[2], op[3], out)
-    return phase(state, op[1], op[2], out)
+        return increment(state, op[1], op[2], op[3], out, check)
+    return phase(state, op[1], op[2], out, check)
 
 
 # The same kernels, bound once for building blocks at compile.  There they act
@@ -293,34 +300,51 @@ def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
 
 
 def _fuse(q: int, ops: list) -> list:
-    """Merge each run of consecutive ops whose sites fit one window into one
-    block, greedily left to right.
+    """Split a step's ops into consecutive runs at the least modelled cost and
+    fuse each run into one window block.
 
-    A monomial run spans at most _GATHER_AMPS amplitudes; a run holding a
-    dense gate at most _DENSE_AMPS.  The window counts the low sites
-    :func:`_block` widens it over; an op wider than its cap on its own stays
-    a single op.
+    A run fits one window if it spans at most _GATHER_AMPS amplitudes when
+    monomial, at most _DENSE_AMPS when it holds a dense gate; the window
+    counts the low sites :func:`_block` widens it over.  An op wider than its
+    cap on its own stays a single op.  Each block or single op costs one pass
+    over the state, and a dense block also its window's amplitudes over
+    _DENSE_COST: it spends that many complex multiplies per amplitude to save
+    passes.  ``best[i]``, the least cost of the ops from i on, is the least
+    cost of a first run ``ops[i:j]`` plus ``best[j]``, so the split is exact;
+    a tie goes to the widest first run, as a greedy first fit would take it.
     """
-    def fits(a: int, b: int, dense: bool) -> bool:
-        return q ** (b - _widened_site(q, a) + 1) <= (_DENSE_AMPS if dense else _GATHER_AMPS)
+    def cost(lo: int, hi: int, dense: bool) -> float | None:
+        amps = q ** (hi - _widened_site(q, lo) + 1)
+        if amps > (_DENSE_AMPS if dense else _GATHER_AMPS):
+            return None
+        return 1 + amps / _DENSE_COST if dense else 1
 
-    fused, run, lo, hi, dense = [], [], 0, 0, False
+    spans = []  # (lowest site, highest site, dense) of each op
     for op in ops:
         sites = _op_sites(op)
-        a, b, d = min(sites), max(sites), op[0] == _BLOCK
-        if run and fits(min(lo, a), max(hi, b), dense or d):
-            run.append(op)
-            lo, hi, dense = min(lo, a), max(hi, b), dense or d
-            continue
-        if run:
-            fused.append(_block(q, run, lo, hi))
-            run = []
-        if fits(a, b, d):
-            run, lo, hi, dense = [op], a, b, d
+        spans.append((min(sites), max(sites), op[0] == _BLOCK))
+    n = len(ops)
+    best, end = [0.0] * (n + 1), [n] * (n + 1)  # end[i]: where best[i]'s first run ends
+    for i in range(n - 1, -1, -1):
+        lo, hi, dense = spans[i]
+        # the op alone: a block, or a single op (one pass) if too wide for one
+        best[i], end[i] = best[i + 1] + (cost(lo, hi, dense) or 1), i + 1
+        for j in range(i + 1, n):  # the run ops[i..j]; it only widens as j grows
+            lo, hi, dense = min(lo, spans[j][0]), max(hi, spans[j][1]), dense or spans[j][2]
+            run = cost(lo, hi, dense)
+            if run is None:
+                break
+            if run + best[j + 1] <= best[i]:
+                best[i], end[i] = run + best[j + 1], j + 1
+    fused, i = [], 0
+    while i < n:
+        j = end[i]
+        lo, hi = min(s[0] for s in spans[i:j]), max(s[1] for s in spans[i:j])
+        if cost(lo, hi, any(s[2] for s in spans[i:j])) is None:
+            fused.append(ops[i])  # one op, too wide for a window
         else:
-            fused.append(op)
-    if run:
-        fused.append(_block(q, run, lo, hi))
+            fused.append(_block(q, ops[i:j], lo, hi))
+        i = j
     return fused
 
 
@@ -544,9 +568,9 @@ def _check_stray_mass(state: StateVector, req: EncodeRequest, inverse: bool) -> 
         sel: list = [slice(None)] * n
         for s in sites:
             sel[n - 1 - s] = level
-        block = psi[tuple(sel)]
-        kept += float(np.vdot(block, block).real)
-    mass = float(np.vdot(state.amps, state.amps).real) - kept
+        block = psi[tuple(sel)].ravel()
+        kept += _vdot(block, block).real
+    mass = _vdot(state.amps, state.amps).real - kept
     if not mass <= 1e-10:
         what = ("region is not in the GHZ-like span" if inverse
                 else "region sites other than c are not in |0>")
@@ -563,13 +587,13 @@ def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
     """
     idx, label, weight = terms
     w = coefficients[label] * weight
-    norm2 = float(np.vdot(w, w).real)
+    norm2 = _vdot(w, w).real
     if not abs(norm2 - 1.0) <= 1e-10:
         raise PreconditionError(f"expected state norm**2 = {norm2!r} deviates from 1")
     amps = state.amps
     if state_norm2 is None:
-        state_norm2 = float(np.vdot(amps, amps).real)
-    return float(np.minimum(1.0, abs(np.vdot(w, amps[idx])) ** 2 / state_norm2))
+        state_norm2 = _vdot(amps, amps).real
+    return float(np.minimum(1.0, abs(_vdot(w, amps[idx])) ** 2 / state_norm2))
 
 
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
@@ -586,7 +610,13 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     output, so a NaN anywhere, on the support or off it, was refused there.
     A step with no ops reads the live norm**2 in full instead, so a NaN
     planted through ``on_step`` gives fidelity NaN, never a value that passes
-    a bar; before any later op, that op's state validation refuses it.
+    a bar; the next step's norm read refuses it.
+
+    Only each step's last op reads its output's norm, with or without
+    ``verify``; the ops before it skip the read.  That one read covers the
+    step: every block was checked unitary at compile, increments permute and
+    phases have modulus 1, so an op moves the norm only by rounding, and a
+    NaN or inf an op makes carries through every later kernel into it.
 
     The ops ping-pong between two working buffers allocated once per run: each
     writes into the one its source does not use.  The input is never written
@@ -606,10 +636,11 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     spare, owned = None, overwrite  # the next op's output; whether state's is ours
     for i in reversed(order) if inverse else order:
         level, step, regions, ops = machine.steps[i]
-        for op in _inverted(ops) if inverse else ops:
+        last = len(ops) - 1
+        for j, op in enumerate(_inverted(ops) if inverse else ops):
             out = np.empty_like(state.amps) if spare is None else spare
             spare, owned = (state.amps if owned else None), True
-            state = _apply(state, op, out)
+            state = _apply(state, op, out, j == last)  # only the last op reads the norm
         fid = None
         if verify:
             fid = trace.final_fidelity = _overlap(

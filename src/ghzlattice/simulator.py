@@ -15,7 +15,11 @@ the working set :func:`check_capacity` predicts, at 56 bytes per amplitude,
 or at 384 bytes per q**2 where the q-level builds outweigh the states; it
 refuses above 56 * 2**26 bytes, and every run and every full-size builder
 asks it first.  Every operation validates that the output stays normalized
-to 1e-10, which is the module's running invariant.
+to 1e-10, which is the module's running invariant, unless a caller passes
+the private trailing ``_check=False``: a protocol run does so on every op of
+a step but the last, whose one norm read covers the step.  Every full-state
+or large reduction (the norm, :func:`fidelity`, the protocol's overlaps)
+goes through :func:`_vdot`, whose bits no BLAS thread count changes.
 
 A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
 ``site .. site+k-1``.  A monomial gate (exactly one nonzero per row:
@@ -66,6 +70,18 @@ _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-12
 # largest phase block evolve_phase looks up at once; a wider one goes slab by slab
 _PHASE_SLAB = 1 << 14
+# amplitudes per partial sum of _vdot: OpenBLAS splits a longer dot product
+# over its threads, so its bits depend on their count
+_DOT_CHUNK = 1 << 13
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> of two flat arrays of one size, the same bits at any BLAS thread
+    count: one ``np.vdot`` per _DOT_CHUNK amplitudes, the partials added
+    exactly by ``math.fsum``."""
+    parts = [np.vdot(a[i:i + _DOT_CHUNK], b[i:i + _DOT_CHUNK])
+             for i in range(0, a.size, _DOT_CHUNK)]
+    return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
 def check_capacity(lattice: LatticeSpec) -> int:
@@ -100,7 +116,8 @@ class StateVector:
     q: int
     n: int
     amps: np.ndarray
-    # the validated norm**2, read once here; stale if amps is later mutated
+    # the validated norm**2, read once here; stale if amps is later mutated,
+    # NaN on a kernel's unchecked output
     _norm2: float = field(init=False, repr=False, default=1.0)
 
     def __post_init__(self):
@@ -112,7 +129,7 @@ class StateVector:
                 f"amplitude count {amps.size} != q**n = {self.q**self.n}"
             )
         object.__setattr__(self, "amps", amps)
-        norm2 = float(np.vdot(amps, amps).real)
+        norm2 = _vdot(amps, amps).real
         if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise PreconditionError(f"state norm**2 = {norm2!r} deviates from 1")
         object.__setattr__(self, "_norm2", norm2)
@@ -120,6 +137,16 @@ class StateVector:
     def tensor(self) -> np.ndarray:
         """View shaped (q,)*n; site s sits on axis n-1-s."""
         return self.amps.reshape((self.q,) * self.n)
+
+
+def _result(state: StateVector, res: np.ndarray, check: bool) -> StateVector:
+    """A kernel's output over ``res``, shaped like ``state``: validated, or
+    with ``check`` False built without reading its norm (``_norm2`` is NaN)."""
+    if check:
+        return StateVector(state.q, state.n, res.reshape(-1))
+    out = object.__new__(StateVector)
+    vars(out).update(q=state.q, n=state.n, amps=res.reshape(-1), _norm2=math.nan)
+    return out
 
 
 def init_product(lattice: LatticeSpec, site_states) -> StateVector:
@@ -249,7 +276,8 @@ def _output(state: StateVector, out: np.ndarray | None) -> np.ndarray:
     return out.reshape(-1)
 
 
-def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) -> StateVector:
+def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None,
+               _check: bool = True) -> StateVector:
     """Apply a window unitary to its k consecutive sites.
 
     A monomial gate is one gather along axis 1 of the (hi, q**k, lo) view,
@@ -288,12 +316,12 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None) ->
                   out=res.view(np.float64).reshape(floats))
     else:
         np.matmul(mat, psi, out=res)
-    return StateVector(q, n, res.reshape(-1))
+    return _result(state, res, _check)
 
 
 def apply_controlled_increment(
     state: StateVector, control: int, target: int, inverse: bool = False,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, _check: bool = True,
 ) -> StateVector:
     """|l>_control |x>_target -> |l>|x + l mod q>  (CNOT at q=2), into ``out``
     if given."""
@@ -317,7 +345,7 @@ def apply_controlled_increment(
             sel_out[axt] = a
             sel_in[axt] = (a + lc) % q if inverse else (a - lc) % q
             res[tuple(sel_out)] = psi[tuple(sel_in)]
-    return StateVector(q, n, res.reshape(-1))
+    return _result(state, res, _check)
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,7 +417,7 @@ def _phase_weights(q: int, n: int, control: tuple, targets: tuple) -> np.ndarray
 
 def evolve_phase(
     state: StateVector, coupling: PhaseCoupling, duration: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, _check: bool = True,
 ) -> StateVector:
     """Exact diagonal evolution under the merge coupling for the given duration.
 
@@ -423,7 +451,7 @@ def evolve_phase(
         sel = tuple(i if size > 1 else slice(None) for i, size in zip(idx, w.shape))
         np.take(table, w[idx], out=phases, mode="wrap")
         np.multiply(psi[sel], phases, out=res[sel])
-    return StateVector(q, n, res.reshape(-1))
+    return _result(state, res, _check)
 
 
 def fidelity(x: StateVector, y: StateVector) -> float:
@@ -432,7 +460,7 @@ def fidelity(x: StateVector, y: StateVector) -> float:
         raise PreconditionError(
             f"state shapes differ: (q={x.q}, n={x.n}) vs (q={y.q}, n={y.n})"
         )
-    return float(np.minimum(1.0, abs(np.vdot(x.amps, y.amps)) ** 2))
+    return float(np.minimum(1.0, abs(_vdot(x.amps, y.amps)) ** 2))
 
 
 def expected_ghz(region: Region, lattice: LatticeSpec, coefficients) -> StateVector:

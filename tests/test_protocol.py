@@ -733,19 +733,23 @@ class TestRequestValidation:
 
 class TestCompiledStream:
     def test_kernel_calls_per_run(self, monkeypatch):
-        # the 16-chain stream, fused: 29 window blocks and the one phase too
-        # wide for a window, the same each way; counted through the names the
-        # runner looks up in ghzlattice.protocol, which compile's block
-        # building does not use
+        # the 16-chain stream, fused: one kernel call per compiled op (window
+        # blocks and the one phase too wide for a window), the same each way;
+        # counted through the names the runner looks up in ghzlattice.protocol,
+        # which compile's block building does not use
+        lat = chain(16)
+        req = request(lat, [0.6, 0.8], [2, 2, 2])
+        kernels = {protocol._BLOCK: "apply_gate", protocol._INC: "apply_controlled_increment",
+                   protocol._PHASE: "evolve_phase"}
+        want = Counter(kernels[op[0]] for step in protocol._get_machine(
+            req, protocol.GATE_DFT).steps for op in step[-1])
+        assert want["evolve_phase"] == 1 and not want["apply_controlled_increment"]
         calls = Counter()
-        for name in ("apply_gate", "apply_controlled_increment", "evolve_phase"):
+        for name in kernels.values():
             def counted(*args, _name=name, _kernel=getattr(protocol, name)):
                 calls[_name] += 1
                 return _kernel(*args)
             monkeypatch.setattr(protocol, name, counted)
-        lat = chain(16)
-        req = request(lat, [0.6, 0.8], [2, 2, 2])
-        want = {"apply_gate": 29, "evolve_phase": 1}
         mid, _ = encode(source_state(lat, 0, [0.6, 0.8]), req, verify=False)
         assert calls == want
         calls.clear()
@@ -842,15 +846,16 @@ class TestSharedMachines:
 
 
 # (d, side, q, alpha, r0, forced_m, fewest monomial blocks per encode from
-# site 0 and from the last site, largest compiled ops per encode or None)
+# site 0 and from the last site, most modelled passes per encode from site 0
+# or None: those of the greedy first fit the least-cost split replaced)
 FUSED_CASES = {
-    "chain16": (1, 16, 2, 2.5, 2, [2, 2, 2], (10, 10), 30),
-    "grid4x4": (2, 4, 2, 4.5, 2, [2], (6, 6), 11),
-    "ququart8": (1, 8, 4, 2.5, 2, [2, 2], (9, 8), 20),
-    "chain20": (1, 20, 2, 2.5, 2, [2, 5], (9, 9), 27),
-    "chain18": (1, 18, 2, 2.5, 2, [3, 3], (9, 9), 22),
+    "chain16": (1, 16, 2, 2.5, 2, [2, 2, 2], (10, 10), 44.0),
+    "grid4x4": (2, 4, 2, 4.5, 2, [2], (6, 6), 15.5),
+    "ququart8": (1, 8, 4, 2.5, 2, [2, 2], (9, 8), 31.375),
+    "chain20": (1, 20, 2, 2.5, 2, [2, 5], (9, 9), 45.875),
+    "chain18": (1, 18, 2, 2.5, 2, [3, 3], (9, 9), 37.625),
     "grid4x4_base": (2, 4, 2, 4.5, 4, [], (1, 1), None),  # increments too wide to fuse
-    "qutrit8": (1, 8, 3, 2.5, 2, [2, 2], (9, 8), None),
+    "qutrit8": (1, 8, 3, 2.5, 2, [2, 2], (9, 7), None),
 }
 
 
@@ -894,6 +899,24 @@ def _assert_blocks_fit(q, machine):
             assert q ** (max(sites) - lo + 1) > 256
 
 
+def _run_cost(q, ops):
+    """The modelled cost of one run of unfused ops, in passes: 1, plus a dense
+    window's amplitudes / 32; None if the run fits no window (a lone op too
+    wide for one costs its 1 pass)."""
+    sites = [s for op in ops for s in protocol._op_sites(op)]
+    amps = q ** (max(sites) - protocol._widened_site(q, min(sites)) + 1)
+    dense = any(op[0] == protocol._BLOCK for op in ops)
+    if amps > (64 if dense else 256):
+        return 1 if len(ops) == 1 else None
+    return 1 + amps / 32 if dense else 1
+
+
+def _stream_cost(ops):
+    """The modelled cost of a fused op list, read off its blocks."""
+    return sum(1 + (op[1].matrix.shape[0] / 32 if op[0] == protocol._BLOCK
+                    and op[1].matrix is not None else 0) for op in ops)
+
+
 def _replay(state, ops):
     """The unfused ops one by one through the public kernels."""
     for op in ops:
@@ -930,11 +953,31 @@ class TestFusedStream:
 
     @pytest.mark.parametrize("name", [n for n, c in FUSED_CASES.items() if c[-1]])
     def test_passes_per_encode(self, name):
+        # modelled passes: one per op, and a dense block's window / 32 more
         _lat, _req, machine = _fused_machine(name)
-        assert sum(len(step[-1]) for step in machine.steps) <= FUSED_CASES[name][-1]
+        assert _stream_cost([op for step in machine.steps for op in step[-1]]) \
+            <= FUSED_CASES[name][-1]
+
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_split_has_the_least_modelled_cost(self, name):
+        # on every compiled step, and every 12-op stretch of a longer one, the
+        # fused stream costs the minimum over all 2**(m - 1) splits into
+        # consecutive runs
+        lat, _req, machine = _fused_machine(name)
+        q = lat.levels
+        pieces = [ops[i:i + 12] for *_, ops in machine._compile()
+                  for i in range(max(1, len(ops) - 11))]
+        for ops in pieces:
+            least = math.inf
+            for cuts in itertools.product((False, True), repeat=len(ops) - 1):
+                bounds = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), len(ops)]
+                costs = [_run_cost(q, ops[a:b]) for a, b in zip(bounds, bounds[1:])]
+                if None not in costs:
+                    least = min(least, sum(costs))
+            assert _stream_cost(protocol._fuse(q, ops)) == least
 
     def test_real_blocks_share_their_inverse(self):
-        # a transfer 0 -> 19 on chain20 runs 35 dense blocks; the 14 real ones
+        # a transfer 0 -> 19 on chain20 runs 37 dense blocks; the 16 real ones
         # at a site > 0 hold the float64 copy apply_gate multiplies (re, im)
         # pairs by.  A real block's inverse is its transpose, a view of the
         # same matrix; a complex block's inverse is a conjugated copy
@@ -943,7 +986,7 @@ class TestFusedStream:
                  + _inverse_steps(_fused_machine("chain20", n - 1)[2]))
         blocks = [op[1:] for step in steps for op in step[-1]
                   if op[0] == protocol._BLOCK and op[1].matrix is not None]
-        assert len(blocks) == 35
+        assert len(blocks) == 37
         strided_real = 0
         for gate, inverse in blocks:
             real = not np.any(gate.matrix.imag)
@@ -951,7 +994,7 @@ class TestFusedStream:
             for g in (gate, inverse):
                 assert (g._real is not None) == (real and g.site > 0)
             strided_real += real and gate.site > 0
-        assert strided_real == 14
+        assert strided_real == 16
 
     @pytest.mark.parametrize("name", list(FUSED_CASES))
     def test_monomial_blocks_gather_exactly(self, name):
@@ -1045,6 +1088,7 @@ class TestFusedStream:
         # in a child.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         script = f"""
+import json
 import sys
 sys.path.insert(0, {os.path.join(root, "bench")!r})
 import numpy as np
@@ -1065,7 +1109,7 @@ for d, side, alpha, r0, forced in [(1, 16, 2.5, 2, [2, 2, 2]), (2, 4, 4.5, 4, []
     tracer.run_op(encode, state, req)
     compiled = sum(len(step[-1]) for step in _get_machine(req, GATE_DFT).steps)
     out.append((tracer.passes - before, compiled))
-print(out)
+print(json.dumps(out))
 """
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -1073,7 +1117,8 @@ print(out)
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[(30, 30), (9, 9)]"
+        counts = json.loads(proc.stdout)
+        assert len(counts) == 2 and all(passes == compiled > 0 for passes, compiled in counts)
 
 
 def _step_support(req, level, step):
@@ -1145,6 +1190,75 @@ class TestSparseVerification:
             encode(source_state(lat, 0, [0.6, 0.8]), req, on_step=plant)
         # nothing was recorded once the NaN was in the state
         assert [rec[:2] for rec in seen] == [(0, 1), (1, 2)]
+
+
+class TestNormReads:
+    """A run reads the state's norm once per step, after the step's last op;
+    the ops before it leave their outputs unchecked."""
+
+    def test_one_validation_per_step(self, monkeypatch):
+        # a warm chain20 transfer: 18 steps of 57 ops, 18 norm reads
+        lat, req, _machine = _fused_machine("chain20")
+        state = source_state(lat, 0, [0.6, 0.8])
+
+        def transfer():
+            return state_transfer(state, 0, lat.n_sites - 1, req.region, req.plan,
+                                  lattice=lat)
+
+        transfer()  # compiles both machines, whose block builds validate scratch states
+        reads = []
+        post_init = StateVector.__post_init__
+
+        def counted(self):
+            reads.append(self.amps.size)
+            post_init(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        _, trace = transfer()
+        assert trace.final_fidelity >= FIDELITY_BAR
+        assert len(reads) == len(trace.records) == 18
+        ops = sum(len(step[-1]) for c in (0, lat.n_sites - 1)
+                  for step in _fused_machine("chain20", c)[2].steps)
+        assert ops > 3 * len(reads)
+
+    # numpy flags the NaN a matmul makes of the planted value (inf * 0)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "noverify"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["encode", "decode"])
+    def test_value_planted_mid_step_fails_the_step(self, monkeypatch, value, verify, inverse):
+        # the value goes into the unchecked output of the first op of the first
+        # step of several ops after the first step; it carries through the
+        # step's later ops into the one norm read, which refuses the step
+        # before it is recorded
+        lat, req, machine = _fused_machine("chain16")
+        steps = _inverse_steps(machine) if inverse else machine.steps
+        multi = next(i for i in range(1, len(steps)) if len(steps[i][-1]) > 1)
+        planted_call = sum(len(step[-1]) for step in steps[:multi])
+        start = source_state(lat, 0, req.coefficients)
+        if inverse:
+            start, _ = encode(start, req, verify=False)
+        calls = []
+        for name in ("apply_gate", "apply_controlled_increment", "evolve_phase"):
+            def planted(*args, _kernel=getattr(protocol, name)):
+                calls.append(args[-1])  # whether the kernel reads its output's norm
+                out = _kernel(*args)
+                if len(calls) == planted_call + 1:
+                    out.amps[len(out.amps) // 3] = value
+                return out
+            monkeypatch.setattr(protocol, name, planted)
+        seen = []
+        run = decode if inverse else encode
+        with pytest.raises(PreconditionError, match="norm"):
+            run(start, req, verify=verify, on_step=lambda rec, _s: seen.append(rec))
+        assert len(seen) == multi
+        # one read per step: the planted op's output went unread, the refusal
+        # came from the step's last op
+        assert calls.count(True) == multi + 1
+        assert len(calls) == planted_call + len(steps[multi][-1])
+        assert calls[planted_call] is False and calls[-1] is True
+        if verify:
+            assert all(rec.fidelity >= FIDELITY_BAR for rec in seen)
 
 
 class TestWorkingBuffers:
