@@ -20,8 +20,8 @@ Fusion never crosses a step, so every step ends on the same state as the
 unfused ops would give, and a run reads the state's norm once per step.
 
 Encode runs the steps forward.  Decode walks the same list backwards,
-inverting each step's ops as it goes (a block by its conjugate transpose, an
-increment by a decrement, a phase by its negated duration), and checks each
+inverting each step's ops as it goes (a block by the inverse its gate derives,
+an increment by a decrement, a phase by its negated duration), and checks each
 step against the expected state before it.  Transfer is an encode followed by
 a decode aimed at another site, whose records extend the encode's trace.
 
@@ -163,11 +163,11 @@ class _Merge:
     gate_sites: tuple[int, ...]  # designated site of each target
 
 
-# Ops of the compiled stream.  Each kind has its own inverse: a block carries
-# U and U^dagger and swaps them, an increment flips its direction, and a phase
-# negates its duration.  _compile emits the single-site gates as q x q blocks,
-# and _fuse merges each step's ops into window blocks.
-_BLOCK = "block"  # (_BLOCK, window Gate, its inverse Gate)
+# Ops of the compiled stream.  Each kind has its own inverse: a block's gate
+# derives its inverse, an increment flips its direction, and a phase negates
+# its duration.  _compile emits the single-site gates as q x q blocks, and
+# _fuse merges each step's ops into window blocks.
+_BLOCK = "block"  # (_BLOCK, window Gate)
 _INC = "increment"  # (_INC, control site, target site, inverse flag)
 _PHASE = "phase"  # (_PHASE, coupling, duration)
 
@@ -190,7 +190,7 @@ def _widened_site(q: int, site: int) -> int:
 
 def _inverse(op: tuple) -> tuple:
     if op[0] == _BLOCK:
-        return (_BLOCK, op[2], op[1])
+        return (_BLOCK, op[1]._inverse)
     if op[0] == _INC:
         return (_INC, op[1], op[2], not op[3])
     return (_PHASE, op[1], -op[2])
@@ -262,7 +262,8 @@ def _unitary(q: int, k: int, ops: list) -> np.ndarray:
 
 def _gather(q: int, k: int, ops: list) -> tuple:
     """``(perm, phases)`` of a monomial run of ops on sites 0..k-1, bit for
-    bit what ``_monomial`` reads off ``_unitary(q, k, ops)``.
+    bit the column and the value of each row's one nonzero in
+    ``_unitary(q, k, ops)``, phases None when all are exactly 1.
 
     The increments alone carry an index-coded k-site state, copying each
     amplitude exactly, so row i's column is the index whose code lands at i.
@@ -281,22 +282,17 @@ def _gather(q: int, k: int, ops: list) -> tuple:
 def _block(q: int, ops: list, lo: int, hi: int) -> tuple:
     """The ops on sites lo..hi as one window block from _widened_site(q, lo).
 
-    A run holding a dense gate is built as its matrix by :func:`_unitary`;
-    its inverse is the conjugate transpose, or for a real matrix the
-    transpose, a view that costs no memory.  A monomial run (increments and
-    phases only) is built as its gather by :func:`_gather` and never holds a
-    matrix; its inverse gathers through ``argsort(perm)``.
+    A run holding a dense gate is a dense gate, its matrix built by
+    :func:`_unitary`.  A monomial run (increments and phases only) is a
+    gather gate, built by :func:`_gather`, with no matrix.
     """
     lo = _widened_site(q, lo)
     k = hi - lo + 1
     ops = [_shifted(op, lo) for op in ops]
     if any(op[0] == _BLOCK for op in ops):
-        u = _unitary(q, k, ops)
-        return (_BLOCK, Gate(u, lo), Gate(u.conj().T if np.any(u.imag) else u.T, lo))
+        return (_BLOCK, Gate(_unitary(q, k, ops), lo))
     perm, phases = _gather(q, k, ops)
-    inv = np.argsort(perm)
-    return (_BLOCK, Gate(None, lo, _perm=perm, _phases=phases),
-            Gate(None, lo, _perm=inv, _phases=None if phases is None else phases.conj()[inv]))
+    return (_BLOCK, Gate(None, lo, _perm=perm, _phases=phases))
 
 
 def _fuse(q: int, ops: list) -> list:
@@ -402,7 +398,7 @@ class _Machine:
 
         @cache
         def gate(site: int) -> tuple:
-            return (_BLOCK, Gate(rotation(), site), Gate(rotation().conj().T, site))
+            return (_BLOCK, Gate(rotation(), site))
 
         def merge_steps(cubes: list[Region], level: int) -> list[list]:
             """Steps 2-5 of a merge: phase, concentrate, rotate, redistribute."""
@@ -616,7 +612,9 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     ``verify``; the ops before it skip the read.  That one read covers the
     step: every block was checked unitary at compile, increments permute and
     phases have modulus 1, so an op moves the norm only by rounding, and a
-    NaN or inf an op makes carries through every later kernel into it.
+    NaN or inf an op makes carries through every later kernel into it.  The
+    ops run with numpy's invalid-value flag ignored, so that read, not a
+    RuntimeWarning, refuses them; the ``on_step`` hook runs outside.
 
     The ops ping-pong between two working buffers allocated once per run: each
     writes into the one its source does not use.  The input is never written
@@ -637,10 +635,11 @@ def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
     for i in reversed(order) if inverse else order:
         level, step, regions, ops = machine.steps[i]
         last = len(ops) - 1
-        for j, op in enumerate(_inverted(ops) if inverse else ops):
-            out = np.empty_like(state.amps) if spare is None else spare
-            spare, owned = (state.amps if owned else None), True
-            state = _apply(state, op, out, j == last)  # only the last op reads the norm
+        with np.errstate(invalid="ignore"):  # a NaN an op makes is the norm read's to refuse
+            for j, op in enumerate(_inverted(ops) if inverse else ops):
+                out = np.empty_like(state.amps) if spare is None else spare
+                spare, owned = (state.amps if owned else None), True
+                state = _apply(state, op, out, j == last)  # only the last op reads the norm
         fid = None
         if verify:
             fid = trace.final_fidelity = _overlap(

@@ -22,11 +22,11 @@ or large reduction (the norm, :func:`fidelity`, the protocol's overlaps)
 goes through :func:`_vdot`, whose bits no BLAS thread count changes.
 
 A :class:`Gate` is a q**k x q**k unitary on the k consecutive sites
-``site .. site+k-1``.  A monomial gate (exactly one nonzero per row:
-increments, shifts, phases) is held as its gather, a permutation and phases,
-and may hold no matrix at all.  :func:`apply_gate` applies it as one gather
-along the window axis of the (hi, q**k, lo) view with lo = q**site, times its
-phases unless they are all exactly 1.  Any other gate is dense: a window at
+``site .. site+k-1``, and derives its own inverse.  It is dense, given by its
+matrix, or a gather, given by a permutation and phases with no matrix (the
+protocol's runs of increments and phases).  :func:`apply_gate` applies a
+gather as one gather along the window axis of the (hi, q**k, lo) view with
+lo = q**site, times its phases unless they are all 1.  A dense gate's window at
 site 0 right-multiplies the (hi, q**k) view, any other window is a batched
 matmul over the (hi, q**k, lo) view.  A real dense window at site > 0 (every
 qubit block without a merge phase: Hadamards and CNOTs) multiplies real and
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -186,14 +186,15 @@ class Gate:
     little-endian like the state's: site ``site`` is the least significant
     digit of the matrix index.
 
-    A monomial gate (exactly one nonzero per row) also holds its gather:
-    ``_perm``, the column of each row's nonzero, and ``_phases``, those
-    entries unless all are exactly 1.  Its unitarity check is O(q**k): perm
-    is a bijection and every |phase| is 1; any other gate's is G^dagger G = I.
-    ``Gate(None, site, _perm=..., _phases=...)`` is a monomial gate given by
-    its gather alone, with no matrix.  Any other gate at site > 0 whose matrix
-    has no nonzero imaginary part (-0.0 counts as zero) also holds ``_real``,
-    a C-contiguous float64 copy of it for :func:`apply_gate`'s real layout.
+    A gate is dense or a gather, never both.  ``Gate(matrix, site)`` is dense,
+    checked as G^dagger G = I; one at site > 0 whose matrix has no nonzero
+    imaginary part (-0.0 counts as zero) also holds ``_real``, a C-contiguous
+    float64 copy of it for :func:`apply_gate`'s real layout.
+    ``Gate(None, site, _perm=..., _phases=...)`` is a gather, with no matrix:
+    row i's one nonzero sits in column ``_perm[i]`` and is ``_phases[i]``, or
+    1 when ``_phases`` is None; it is checked in O(q**k), perm a bijection and
+    every |phase| 1.  ``_inverse`` is the inverse gate, built once and not
+    checked again.
     """
 
     matrix: np.ndarray | None
@@ -207,36 +208,36 @@ class Gate:
             if self._perm is None:
                 raise PreconditionError("a gate needs a matrix or a gather")
             perm, phases = np.asarray(self._perm), self._phases
+            object.__setattr__(self, "_perm", perm)
+            if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+                dev = 1.0  # two rows share a column, so another column is empty
+            else:  # the diagonal of G^dagger G is |phase|**2, the rest is 0
+                dev = 0.0 if phases is None else np.max(np.abs((phases.conj() * phases).real - 1))
         else:
+            if self._perm is not None or self._phases is not None:
+                raise PreconditionError("a gate takes a matrix or a gather, not both")
             mat = np.asarray(self.matrix, dtype=np.complex128)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise PreconditionError(f"gate matrix must be square, got shape {mat.shape}")
             object.__setattr__(self, "matrix", mat)
-            perm, phases = _monomial(mat)
-        if perm is None:
             dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-        elif not np.array_equal(np.sort(perm), np.arange(perm.size)):
-            dev = 1.0  # two rows share a column, so another column is empty
-        else:  # the diagonal of G^dagger G is |phase|**2, the rest is 0
-            dev = 0.0 if phases is None else np.max(np.abs((phases.conj() * phases).real - 1))
+            if self.site > 0 and not np.any(mat.imag):
+                object.__setattr__(self, "_real", np.ascontiguousarray(mat.real))
         if not dev <= _UNITARY_TOL:
             raise PreconditionError(f"gate is not unitary: max |G+G - I| = {dev:.3e}")
-        object.__setattr__(self, "_perm", perm)
-        object.__setattr__(self, "_phases", phases)
-        if perm is None and self.site > 0 and not np.any(mat.imag):
-            object.__setattr__(self, "_real", np.ascontiguousarray(mat.real))
 
-
-def _monomial(mat: np.ndarray) -> tuple:
-    """(perm, phases) if every row of ``mat`` has exactly one entry != 0, so
-    ``mat @ x == phases * x[perm]``, with phases None when all are exactly 1;
-    else (None, None)."""
-    nonzero = mat != 0
-    if not np.all(np.count_nonzero(nonzero, axis=1) == 1):
-        return None, None
-    perm = np.argmax(nonzero, axis=1)
-    phases = mat[np.arange(perm.size), perm]
-    return perm, None if np.all(phases == 1) else phases
+    @cached_property
+    def _inverse(self) -> Gate:
+        """G^dagger: a dense gate's conjugate transpose (for a real matrix its
+        transpose, a view, and ``_real`` transposed), a gather through
+        ``argsort(perm)``."""
+        inv, mat, phases = object.__new__(Gate), self.matrix, self._phases
+        order = None if self._perm is None else np.argsort(self._perm)
+        vars(inv).update(
+            site=self.site, _perm=order, _real=None if self._real is None else self._real.T,
+            matrix=None if mat is None else mat.conj().T if np.any(mat.imag) else mat.T,
+            _phases=None if phases is None else phases.conj()[order])
+        return inv
 
 
 def _roots(q: int) -> np.ndarray:
@@ -280,9 +281,9 @@ def apply_gate(state: StateVector, gate: Gate, out: np.ndarray | None = None,
                _check: bool = True) -> StateVector:
     """Apply a window unitary to its k consecutive sites.
 
-    A monomial gate is one gather along axis 1 of the (hi, q**k, lo) view,
-    then an in-place multiply by its phases if it has any.  Other gates are
-    dense: a window starting at site 0 is a right-multiply of the (hi, q**k)
+    A gather gate is one gather along axis 1 of the (hi, q**k, lo) view,
+    then an in-place multiply by its phases if it has any.  For a dense gate,
+    a window starting at site 0 is a right-multiply of the (hi, q**k)
     view; any other window is a batched matmul over the (hi, q**k, lo) view,
     lo = q**site.  A gate holding ``_real`` on a C-contiguous state at a
     stride lo % 4 == 0 runs that matmul in float64 over the (hi, q**k, 2*lo)

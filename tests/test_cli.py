@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import ghzlattice.protocol as protocol
-import ghzlattice.simulator as simulator
 from ghzlattice.cli import (
     _FLAGS,
     EXIT_INTERNAL,
@@ -201,7 +200,8 @@ class TestTransferCommand:
     def test_gather_output_bytes_match_dense(self, tmp_path, monkeypatch):
         # the benchmark's cold CLI session (simulate with an amplitude dump,
         # then transfer, on an 18-site chain) writes the same bytes whether
-        # monomial gates are gathered or multiplied densely
+        # monomial blocks are gathered or built as dense gates (and inverted
+        # as dense gates)
         plan_args = ["--alpha", "2.5", "--d", "1", "--r", "18", "--r0", "2",
                      "--force-m", "3,3"]
         make = protocol.Gate
@@ -217,7 +217,7 @@ class TestTransferCommand:
             if matrix is None:
                 matrix = np.zeros((_perm.size,) * 2, dtype=np.complex128)
                 matrix[np.arange(_perm.size), _perm] = 1 if _phases is None else _phases
-            return make(matrix, site)
+            return recorded(matrix, site)
 
         def session(tag):
             # machines are cached by value across tests and sessions; compile
@@ -239,9 +239,10 @@ class TestTransferCommand:
         monkeypatch.setattr(protocol, "Gate", recorded)
         gathered = session("gather")
         assert any(perm is not None for perm, _phases in found)
-        monkeypatch.setattr(simulator, "_monomial", lambda mat: (None, None))
+        found.clear()
         monkeypatch.setattr(protocol, "Gate", densified)
         assert session("dense") == gathered
+        assert found and all(perm is None for perm, _phases in found)
 
     def test_target_out_of_bounds(self):
         code, _, _ = run_capture(

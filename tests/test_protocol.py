@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -880,6 +881,16 @@ def _gather_matrix(gate):
     return mat
 
 
+def _read_gather(mat):
+    """(perm, phases) read off a matrix with one nonzero per row: the column
+    and the value of each, phases None when all are exactly 1."""
+    nonzero = mat != 0
+    assert np.all(np.count_nonzero(nonzero, axis=1) == 1)
+    perm = np.argmax(nonzero, axis=1)
+    phases = mat[np.arange(perm.size), perm]
+    return perm, None if np.all(phases == 1) else phases
+
+
 def _assert_blocks_fit(q, machine):
     """Every block spans at most 64 amplitudes if it holds a dense gate and at
     most 256 if it is a gather, from site 0 or from a low stride of at least
@@ -977,22 +988,33 @@ class TestFusedStream:
             assert _stream_cost(protocol._fuse(q, ops)) == least
 
     def test_real_blocks_share_their_inverse(self):
-        # a transfer 0 -> 19 on chain20 runs 37 dense blocks; the 16 real ones
-        # at a site > 0 hold the float64 copy apply_gate multiplies (re, im)
-        # pairs by.  A real block's inverse is its transpose, a view of the
-        # same matrix; a complex block's inverse is a conjugated copy
+        # a transfer 0 -> 19 on chain20 runs 37 dense blocks, the encode's
+        # and the inverses of the decode machine's; the 16 real ones at a
+        # site > 0 hold the float64 copy apply_gate multiplies (re, im) pairs
+        # by.  A real block's inverse is its transpose, a view of the same
+        # matrix and float64 copy; a complex block's inverse is a conjugated
+        # copy.  Each is derived once, and the decode runs that one
+        def dense(steps):
+            return [op[1] for step in steps for op in step[-1]
+                    if op[0] == protocol._BLOCK and op[1].matrix is not None]
+
         n = FUSED_CASES["chain20"][1]
-        steps = (_fused_machine("chain20")[2].steps
-                 + _inverse_steps(_fused_machine("chain20", n - 1)[2]))
-        blocks = [op[1:] for step in steps for op in step[-1]
-                  if op[0] == protocol._BLOCK and op[1].matrix is not None]
+        decoder = _fused_machine("chain20", n - 1)[2]
+        assert ([id(g._inverse) for g in reversed(dense(decoder.steps))]
+                == [id(g) for g in dense(_inverse_steps(decoder))])
+        blocks = dense(_fused_machine("chain20")[2].steps) + dense(decoder.steps)
         assert len(blocks) == 37
         strided_real = 0
-        for gate, inverse in blocks:
+        for gate in blocks:
+            inverse = gate._inverse
+            assert inverse is gate._inverse
             real = not np.any(gate.matrix.imag)
+            assert np.array_equal(inverse.matrix, gate.matrix.conj().T)
             assert np.shares_memory(gate.matrix, inverse.matrix) == real
             for g in (gate, inverse):
                 assert (g._real is not None) == (real and g.site > 0)
+            if gate._real is not None:
+                assert np.shares_memory(gate._real, inverse._real)
             strided_real += real and gate.site > 0
         assert strided_real == 16
 
@@ -1016,7 +1038,7 @@ class TestFusedStream:
                 for steps in (machine.steps, _inverse_steps(machine)))
             assert len(forward) == len(inverse) >= fewest
             for gate in forward + inverse:
-                mat = _gather_matrix(gate) if gate.matrix is None else gate.matrix
+                mat = _gather_matrix(gate)
                 dim = mat.shape[0]
                 got = apply_gate(state, gate).amps
                 dense = np.matmul(mat, state.amps.reshape(-1, dim, q**gate.site))
@@ -1029,8 +1051,9 @@ class TestFusedStream:
     @pytest.mark.parametrize("name", list(FUSED_CASES))
     def test_gathers_match_the_identity_build(self, name, monkeypatch):
         # a monomial run's gather, built on a k-site scratch state, is bit for
-        # bit what _monomial reads off the matrix the same ops build on the
-        # 2k-site identity, and so is its inverse
+        # bit the gather read off the matrix the same ops build on the 2k-site
+        # identity, and its derived inverse the gather read off that matrix's
+        # conjugate transpose
         lat, req, _machine = _fused_machine(name)
         q = lat.levels
         runs, block = [], protocol._block
@@ -1042,17 +1065,63 @@ class TestFusedStream:
         monkeypatch.setattr(protocol, "_block", recorded)
         for c in (0, lat.n_sites - 1):
             protocol._Machine(lat, req.region, c, req.plan)
-        gathers = [(ops, op) for ops, op in runs if op[1].matrix is None]
+        gathers = [(ops, op[1]) for ops, op in runs if op[1].matrix is None]
         assert gathers
-        for ops, (_kind, gate, inverse) in gathers:
+        for ops, gate in gathers:
             k = round(math.log(gate._perm.size, q))
             u = protocol._unitary(q, k, [protocol._shifted(op, gate.site) for op in ops])
-            for got, mat in ((gate, u), (inverse, u.conj().T)):
-                perm, phases = simulator._monomial(mat)
+            for got, mat in ((gate, u), (gate._inverse, u.conj().T)):
+                perm, phases = _read_gather(mat)
                 assert np.array_equal(got._perm, perm)
                 assert (got._phases is None) == (phases is None)
                 if phases is not None:
                     assert np.array_equal(got._phases.view(np.int64), phases.view(np.int64))
+
+    @pytest.mark.parametrize("name", list(FUSED_CASES))
+    def test_blocks_undo_through_their_inverse(self, name):
+        # every block of both machines, then the inverse its gate derives: a
+        # signed-permutation gather gives the state back bit for bit, any
+        # other block to within the rounding of its two multiplies, 8 eps of
+        # the largest amplitude (chain16's complex 16-amplitude blocks come
+        # back to 5 eps, every other block to 4)
+        lat, _req, _machine = _fused_machine(name)
+        q, n = lat.levels, lat.n_sites
+        rng = np.random.default_rng(len(name))
+        v = rng.standard_normal(q**n) + 1j * rng.standard_normal(q**n)
+        state = StateVector(q, n, v / np.linalg.norm(v))
+        tol = 8 * np.finfo(float).eps * np.max(np.abs(state.amps))
+        kinds = set()
+        for c in (0, n - 1):
+            for gate in (op[1] for step in _fused_machine(name, c)[2].steps
+                         for op in step[-1] if op[0] == protocol._BLOCK):
+                back = apply_gate(apply_gate(state, gate), gate._inverse).amps
+                signed = gate.matrix is None and (
+                    gate._phases is None or np.all(np.isin(gate._phases, (1, -1))))
+                kinds.add("signed" if signed else "gather" if gate.matrix is None else "dense")
+                if signed:
+                    assert np.array_equal(back, state.amps)
+                else:
+                    assert np.max(np.abs(back - state.amps)) <= tol
+        assert "signed" in kinds and ("dense" in kinds or name == "grid4x4_base")
+
+    def test_dense_gates_built_once(self, monkeypatch):
+        # a verified two-site transfer at q = 256 from empty caches builds
+        # each machine's one DFT gate, checked once; the inverses its decode
+        # and its merges run are derived from it, not built and checked again
+        lat = chain(2, q=256)
+        req = request(lat, np.eye(256)[3], [2], r0=1)
+        post_init, dense = simulator.Gate.__post_init__, []
+
+        def counted(self):
+            dense.append(self.matrix is not None)
+            post_init(self)
+
+        protocol._machine.cache_clear()
+        monkeypatch.setattr(simulator.Gate, "__post_init__", counted)
+        _, trace = state_transfer(source_state(lat, 0, req.coefficients), 0, 1,
+                                  req.region, req.plan, lattice=lat)
+        assert trace.final_fidelity >= FIDELITY_BAR
+        assert dense == [True, True]
 
     @pytest.mark.parametrize("c", [0, 15])
     def test_gathers_hold_no_matrix(self, c):
@@ -1221,8 +1290,6 @@ class TestNormReads:
                   for step in _fused_machine("chain20", c)[2].steps)
         assert ops > 3 * len(reads)
 
-    # numpy flags the NaN a matmul makes of the planted value (inf * 0)
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("verify", [True, False], ids=["verify", "noverify"])
     @pytest.mark.parametrize("inverse", [False, True], ids=["encode", "decode"])
@@ -1259,6 +1326,32 @@ class TestNormReads:
         assert calls[planted_call] is False and calls[-1] is True
         if verify:
             assert all(rec.fidelity >= FIDELITY_BAR for rec in seen)
+
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("verify", [True, False], ids=["verify", "noverify"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["encode", "decode"])
+    def test_value_planted_between_steps_fails_the_next(self, value, verify, inverse):
+        # a value planted through on_step after the first step: the kernels
+        # that multiply it (inf * 0 is NaN) raise no RuntimeWarning, even with
+        # warnings as errors, and the next step's norm read refuses it
+        lat, req, _machine = _fused_machine("chain16")
+        start = source_state(lat, 0, req.coefficients)
+        if inverse:
+            start, _ = encode(start, req, verify=False)
+        seen = []
+
+        def plant(rec, state):
+            seen.append(rec)
+            if len(seen) == 1:
+                state.amps[len(state.amps) // 3] = value
+
+        run = decode if inverse else encode
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="norm"):
+                run(start, req, verify=verify, on_step=plant)
+        assert len(seen) == 1
 
 
 class TestWorkingBuffers:

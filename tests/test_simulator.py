@@ -264,11 +264,20 @@ class TestGates:
         omega = np.exp(2j * np.pi / 3)
         return np.roll(np.eye(3), 1, axis=0) @ np.diag(omega ** np.arange(3))
 
+    @staticmethod
+    def _gather_of(u):
+        """(perm, phases) of a matrix with one nonzero per row: the column
+        and the value of each, phases None when all are exactly 1."""
+        perm = np.argmax(u != 0, axis=1)
+        phases = u[np.arange(perm.size), perm]
+        return perm, None if np.all(phases == 1) else phases
+
     @pytest.mark.parametrize("name", ["x", "z", "cnot", "qutrit_shift"])
     def test_monomial_gate_every_position(self, name):
-        # the gather at site 0, at a low stride 1 < q**site < 64 (a protocol
-        # block is widened to site 0 only below a stride of 8) and at a stride
-        # of at least 64, against the kron-built matrix of
+        # a monomial matrix makes a dense gate; its gather, given alone, makes
+        # a gather gate.  Both at site 0, at a low stride 1 < q**site < 64 (a
+        # protocol block is widened to site 0 only below a stride of 8) and at
+        # a stride of at least 64, against the kron-built matrix of
         # test_window_gate_every_position
         u = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
              "z": np.diag([1, -1]).astype(complex),
@@ -280,15 +289,15 @@ class TestGates:
         n = high + k
         state = random_state(q, n, np.random.default_rng(len(name)))
         strides = set()
+        perm, phases = self._gather_of(u)
+        assert (phases is None) == (name in ("x", "cnot"))
         for site in range(n - k + 1):
-            gate = Gate(u, site)
-            assert gate._perm is not None
-            assert (gate._phases is None) == (name in ("x", "cnot"))
+            dense, gather = Gate(u, site), Gate(None, site, _perm=perm, _phases=phases)
+            assert dense._perm is None and gather.matrix is None
             full = reduce(np.kron, [np.eye(q ** (n - site - k)), u, np.eye(q**site)])
-            got = apply_gate(state, gate)
-            assert np.max(np.abs(got.amps - full @ state.amps)) < 1e-12
-            gather = Gate(None, site, _perm=gate._perm, _phases=gate._phases)
-            assert np.array_equal(apply_gate(state, gather).amps, got.amps)
+            for gate in (dense, gather):
+                got = apply_gate(state, gate)
+                assert np.max(np.abs(got.amps - full @ state.amps)) < 1e-12
             strides.add("site0" if site == 0 else "low" if q**site < 64 else "high")
         assert strides == {"site0", "low", "high"}
 
@@ -326,7 +335,9 @@ class TestGates:
     def test_real_copy_only_for_exactly_real_strided_gates(self):
         u = np.kron(HADAMARD, HADAMARD)
         assert Gate(u, 0)._real is None  # site 0 keeps its right-multiply
-        assert Gate(np.kron(np.eye(2), [[0, 1], [1, 0]]), 3)._real is None  # a gather
+        x = np.kron(np.eye(2), [[0, 1], [1, 0]])
+        assert np.array_equal(Gate(x, 3)._real, x)  # a monomial matrix is dense
+        assert Gate(None, 3, _perm=self._gather_of(x)[0])._real is None  # a gather
         tiny = u.copy()
         tiny[1, 2] += 1e-300j
         assert Gate(tiny, 3)._real is None
@@ -365,9 +376,17 @@ class TestGates:
             apply_gate(state, Gate(self._cnot(), 2))
 
     def test_inverse_permutation_detected(self):
+        # a gather's inverse gathers through argsort(perm) with the conjugated
+        # phases: the gather of u^dagger; built once, and it undoes the gate
         u = self._cnot() @ np.kron(np.diag([1, 1j]), np.array([[0, 1], [1, 0]]))
-        gate, inverse = Gate(u, 1), Gate(u.conj().T, 1)
-        assert np.array_equal(inverse._perm, np.argsort(gate._perm))
+        perm, phases = self._gather_of(u)
+        gate = Gate(None, 1, _perm=perm, _phases=phases)
+        inverse = gate._inverse
+        assert inverse is gate._inverse and inverse.site == 1 and inverse.matrix is None
+        want_perm, want_phases = self._gather_of(u.conj().T)
+        assert np.array_equal(inverse._perm, np.argsort(perm))
+        assert np.array_equal(inverse._perm, want_perm)
+        assert np.array_equal(inverse._phases, want_phases)
         state = random_state(2, 6)
         back = apply_gate(apply_gate(state, gate), inverse)
         assert np.max(np.abs(back.amps - state.amps)) < 1e-15
@@ -377,15 +396,40 @@ class TestGates:
         np.diag([1, (1 + 1e-9) * np.exp(0.3j)]),
     ], ids=["two-rows-one-column", "phase-modulus-1+1e-9"])
     def test_monomial_unitarity_check(self, u):
-        # the O(q**k) check on the gather refuses what G^dagger G = I refuses,
-        # given the matrix or the gather alone
+        # the O(q**k) check on a gather refuses what G^dagger G = I refuses on
+        # the dense gate of the same matrix
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-12
-        perm, phases = simulator._monomial(u)
-        assert perm is not None
+        perm, phases = self._gather_of(u)
         with pytest.raises(PreconditionError, match="not unitary"):
             Gate(u, 0)
         with pytest.raises(PreconditionError, match="not unitary"):
             Gate(None, 0, _perm=perm, _phases=phases)
+
+    def test_dense_or_gather_not_both(self):
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        for kwargs in ({"_perm": np.array([1, 0])}, {"_phases": np.array([1, -1])}):
+            with pytest.raises(PreconditionError, match="not both"):
+                Gate(x, 0, **kwargs)
+        with pytest.raises(PreconditionError, match="a matrix or a gather"):
+            Gate(None, 0, _phases=np.array([1, -1]))
+
+    @pytest.mark.parametrize("site", [0, 3])
+    def test_dense_inverse(self, site):
+        # the conjugate transpose, or for a real matrix the transpose and its
+        # float64 copy transposed, all views: no copy and no second check
+        real = np.kron(HADAMARD, HADAMARD).real
+        cplx = np.linalg.qr(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))[0]
+        for u in (real, cplx):
+            gate = Gate(u, site)
+            inverse = gate._inverse
+            assert inverse is gate._inverse and inverse.site == site
+            assert np.array_equal(inverse.matrix, gate.matrix.conj().T)
+            assert np.shares_memory(inverse.matrix, gate.matrix) == (u is real)
+            if gate._real is None:
+                assert inverse._real is None and (u is cplx or site == 0)
+            else:
+                assert np.shares_memory(inverse._real, gate._real)
+                assert np.array_equal(inverse._real, inverse.matrix.real)
 
     def test_window_must_fit_the_state(self):
         with pytest.raises(OutOfBoundsError):
@@ -609,9 +653,11 @@ class TestOutBuffer:
         # q=2, n=8: a gather, the dense site-0 layout, the strided matmul at a
         # low stride (2**3, the lowest a protocol block starts at without
         # widening to site 0) and a high one, and a real gate's float64 matmul
-        u = {"gather": TestGates._cnot(),
-             "real": np.kron(HADAMARD, HADAMARD)}.get(path)
-        gate = Gate(_unitary(4, site) if u is None else u, site)
+        if path == "gather":
+            gate = Gate(None, site, _perm=TestGates._gather_of(TestGates._cnot())[0])
+        else:
+            u = np.kron(HADAMARD, HADAMARD) if path == "real" else _unitary(4, site)
+            gate = Gate(u, site)
         assert (gate._perm is not None) == (path == "gather")
         assert (gate._real is not None) == (path == "real")
         self.check(random_state(2, 8), apply_gate, gate)
