@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from .errors import PreconditionError, UnreachableTargetError, UnsupportedRegimeError
 from .scheduler import (
     CONTINUOUS,
@@ -101,6 +99,7 @@ def _slope(rs, ts, x, r_ok, r_domain: str) -> float:
     """Least-squares slope of log t against x(r), refusing an r outside x's
     domain (``r_ok`` false or r infinite), a t that is not finite and > 0, and
     r without two distinct values (no line has a slope there)."""
+    import numpy as np
     rs, ts = np.asarray(rs, dtype=float), np.asarray(ts, dtype=float)
     if rs.size < 2 or ts.shape != rs.shape:
         raise PreconditionError("need one t per r and at least two points to fit a "
@@ -116,11 +115,13 @@ def _slope(rs, ts, x, r_ok, r_domain: str) -> float:
 
 def fit_loglog_slope(rs, ts) -> float:
     """Least-squares slope of log t against log r."""
+    import numpy as np
     return _slope(rs, ts, np.log, lambda rs: rs > 0, "> 0")
 
 
 def fit_sqrtlog_slope(rs, ts) -> float:
     """Least-squares slope of log t against sqrt(log r)."""
+    import numpy as np
     return _slope(rs, ts, lambda rs: np.sqrt(np.log(rs)), lambda rs: rs >= 1, ">= 1")
 
 
@@ -129,6 +130,7 @@ def fitted_exponent(alpha: float, d: int, r_lo: float, r_hi: float, n_points: in
     fitted on a log-spaced window 0 < r_lo < r_hi."""
     if not 0 < r_lo < r_hi < math.inf:
         raise PreconditionError(f"need a window 0 < r_lo < r_hi < inf, got {r_lo} to {r_hi}")
+    import numpy as np
     rs = np.logspace(math.log10(r_lo), math.log10(r_hi), n_points)
     ts = [protocol_time(alpha, d, r) for r in rs]
     return fit_loglog_slope(rs, ts)

@@ -24,8 +24,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
+# protocol and simulator are deferred (see __init__): numpy loads with a run
 from . import analysis, protocol, scheduler, simulator
 from .errors import (
     GhzLatticeError,
@@ -120,7 +119,7 @@ _FLAGS = (
     ("c-site", ("simulate",), int, 0, "flat index of the source site"),
     ("source", ("transfer",), int, 0, "flat index of the source site"),
     ("target", ("transfer",), int, _REQUIRED, "flat index of the destination site"),
-    ("gate-mode", _RUNS, _choice(protocol.GATE_DFT, protocol.GATE_HADAMARD), protocol.GATE_DFT,
+    ("gate-mode", _RUNS, _choice(scheduler.GATE_DFT, scheduler.GATE_HADAMARD), scheduler.GATE_DFT,
      "single-site rotation: dft or hadamard (q=2)"),
     ("verify", _RUNS, _bool, True, "record per-step fidelities against expected states"),
     ("dump-amps", ("simulate",), str, None, "also write an amplitude CSV to this path"),
@@ -195,6 +194,7 @@ def _settle(args: argparse.Namespace, command: str) -> dict:
 def _parse_coefficients(text: str, q: int) -> np.ndarray:
     """Either q comma-separated complex numbers (normalized for the caller) or
     ``random:SEED`` for a Haar-uniform draw from a seeded PCG64 generator."""
+    import numpy as np
     if text.startswith("random:"):
         try:  # a negative seed is refused by default_rng
             rng = np.random.default_rng(int(text.split(":", 1)[1]))

@@ -14,8 +14,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DivisibilityError, OutOfBoundsError
 
 
@@ -145,4 +143,5 @@ def site_mask(region: Region, lattice: LatticeSpec) -> np.ndarray:
             raise OutOfBoundsError(f"region {region} extends below the lattice")
     if any(a + region.side > lattice.side for a in region.anchor):
         raise OutOfBoundsError(f"region {region} exceeds lattice of side {lattice.side}")
+    import numpy as np
     return np.asarray([lattice.flat_index(s) for s in region.sites()], dtype=np.int64)

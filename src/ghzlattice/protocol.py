@@ -67,7 +67,7 @@ from .errors import (
     StatePreconditionError,
 )
 from .geometry import LatticeSpec, Region, euclidean_diameter_bound, partition, site_mask
-from .scheduler import INTEGER_EXACT, SchedulePlan
+from .scheduler import GATE_DFT, GATE_HADAMARD, INTEGER_EXACT, SchedulePlan
 from .simulator import (
     Gate,
     PhaseCoupling,
@@ -81,9 +81,6 @@ from .simulator import (
     dft_matrix,
     evolve_phase,
 )
-
-GATE_DFT = "dft"
-GATE_HADAMARD = "hadamard"
 
 
 @dataclass(frozen=True)
@@ -235,7 +232,7 @@ def _op_sites(op: tuple) -> list[int]:
 def _shifted(op: tuple, lo: int) -> tuple:
     """The op moved down by ``lo`` sites, onto a state whose site 0 is site lo."""
     if op[0] == _BLOCK:
-        return (_BLOCK, Gate(op[1].matrix, op[1].site - lo))
+        return (_BLOCK, op[1]._lowered(lo))
     if op[0] == _INC:
         return (_INC, op[1] - lo, op[2] - lo, op[3])
     c = op[1]

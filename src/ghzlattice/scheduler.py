@@ -46,6 +46,11 @@ POWER = "power"
 INTEGER_EXACT = "integer-exact"
 CONTINUOUS = "continuous-analytic"
 
+# the protocol's single-site rotation, kept here so the CLI states its choices
+# without loading the run stack
+GATE_DFT = "dft"
+GATE_HADAMARD = "hadamard"
+
 # Relative slack for float comparisons in certificates.
 _REL_EPS = 1e-9
 

@@ -193,8 +193,8 @@ class Gate:
     ``Gate(None, site, _perm=..., _phases=...)`` is a gather, with no matrix:
     row i's one nonzero sits in column ``_perm[i]`` and is ``_phases[i]``, or
     1 when ``_phases`` is None; it is checked in O(q**k), perm a bijection and
-    every |phase| 1.  ``_inverse`` is the inverse gate, built once and not
-    checked again.
+    every |phase| 1.  ``_inverse`` is the inverse gate, built once, and
+    ``_lowered(lo)`` the gate moved down lo sites; neither is checked again.
     """
 
     matrix: np.ndarray | None
@@ -238,6 +238,14 @@ class Gate:
             matrix=None if mat is None else mat.conj().T if np.any(mat.imag) else mat.T,
             _phases=None if phases is None else phases.conj()[order])
         return inv
+
+    def _lowered(self, lo: int) -> Gate:
+        """This gate moved down by ``lo`` sites, sharing its checked arrays and
+        not checked again; ``_real`` stays only while the site stays > 0."""
+        moved, site = object.__new__(Gate), self.site - lo
+        vars(moved).update(matrix=self.matrix, site=site, _perm=self._perm,
+                           _phases=self._phases, _real=self._real if site > 0 else None)
+        return moved
 
 
 def _roots(q: int) -> np.ndarray:

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+import ghzlattice
 import ghzlattice.protocol as protocol
 from ghzlattice.cli import (
     _FLAGS,
@@ -675,3 +676,78 @@ class TestRobustness:
                                                     rng.integers(0, 8))]
             code, _, _ = run_capture(argv)
             assert code in ALL_CODES, argv
+
+
+def _python(*args):
+    """A fresh interpreter running ``args`` against the source tree, unwritten:
+    no bytecode lands next to the files it imports."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-B", *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+# the names the run stack (simulator and protocol) defines
+RUN_NAMES = [name for name in ghzlattice.__all__
+             if getattr(ghzlattice, name).__module__ in ("ghzlattice.simulator",
+                                                         "ghzlattice.protocol")]
+
+
+class TestDeferredRunStack:
+    """numpy, simulator and protocol load only when a run reads them."""
+
+    @pytest.mark.parametrize("argv,loads", [
+        (["plan", "--alpha", "2.5", "--r", "20"], False),
+        (["sweep", "--alphas", "1.5,2.0,2.5", "--r-values", "4,64,1024"], False),
+        (["bounds", "--alpha", "2.5", "--n-values", "1e2,1e6"], False),
+        (["simulate", "--alpha", "2.5", "--r", "4", "--force-m", "2", "--coeff", "0.6,0.8"],
+         True),
+    ], ids=["plan", "sweep", "bounds", "simulate"])
+    def test_which_commands_load_numpy(self, argv, loads):
+        err = _python("-X", "importtime", "-m", "ghzlattice.cli", *argv).stderr
+        imported = {line.split("|")[-1].strip() for line in err.splitlines()
+                    if line.startswith("import time:")}
+        assert ("numpy" in imported) is loads
+
+    def test_package_import_loads_no_numpy(self):
+        out = _python("-c", "import sys, ghzlattice; print('numpy' in sys.modules)").stdout
+        assert out.split() == ["False"]
+
+    @pytest.mark.parametrize("name", RUN_NAMES)
+    def test_a_run_name_loads_the_whole_stack(self, name):
+        # type() reads a deferred module without running it: it stays a
+        # LazyLoader module until its body runs
+        script = f"""
+import json, sys, types
+import ghzlattice
+stack = [sys.modules["ghzlattice." + m] for m in ("simulator", "protocol")]
+before = [type(m) is types.ModuleType for m in stack]
+ghzlattice.{name}
+print(json.dumps([before, [type(m) is types.ModuleType for m in stack],
+                  "numpy" in sys.modules]))
+"""
+        assert json.loads(_python("-c", script).stdout) == [[False, False], [True, True], True]
+
+    def test_run_names_are_the_stack(self):
+        assert len(RUN_NAMES) == 18
+
+    def test_bench_tracer_wraps_the_deferred_stack(self):
+        # bench/tracer.py's install wraps only the modules in sys.modules, and
+        # reads each one's names, which runs a deferred module; so after
+        # `import ghzlattice.cli` it still wraps the run stack
+        script = """
+import importlib.util, json
+import ghzlattice.cli
+spec = importlib.util.spec_from_file_location("tracer", "bench/tracer.py")
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+tracer.Tracer().install()
+from ghzlattice import protocol, simulator
+print(json.dumps([hasattr(f, "__wrapped__") for f in (protocol.encode, protocol.apply_gate,
+                                                        simulator.Gate.__init__)]))
+"""
+        assert json.loads(_python("-c", script).stdout) == [True, True, True]

@@ -1123,6 +1123,35 @@ class TestFusedStream:
         assert trace.final_fidelity >= FIDELITY_BAR
         assert dense == [True, True]
 
+    def test_moved_gates_are_not_checked_again(self, monkeypatch):
+        # compiling the two machines of a chain20 0 -> 19 transfer checks each
+        # machine's DFT once per site and each fused dense block once; a
+        # single-site gate moved into a block's window shares its checked
+        # matrix and is not checked again
+        lat = chain(20)
+        p = plan(2.5, 1, 20, r0=2, forced_m=[2, 5])
+        post_init, unitary = simulator.Gate.__post_init__, protocol._unitary
+        dense, blocks = [], []
+
+        def counted(self):
+            dense.append(self.matrix is not None)
+            post_init(self)
+
+        def counted_unitary(*args):
+            blocks.append(args)
+            return unitary(*args)
+
+        monkeypatch.setattr(simulator.Gate, "__post_init__", counted)
+        monkeypatch.setattr(protocol, "_unitary", counted_unitary)
+        machines = [protocol._Machine(lat, lat.full_region(), c, p) for c in (0, 19)]
+        checked = dense.count(True)
+        monkeypatch.undo()
+        sites = [{op[1].site for *_, ops in m._compile() for op in ops
+                  if op[0] == protocol._BLOCK} for m in machines]
+        moved = sum(1 for args in blocks for op in args[2] if op[0] == protocol._BLOCK)
+        assert moved > 0 and blocks
+        assert checked == sum(map(len, sites)) + len(blocks)
+
     @pytest.mark.parametrize("c", [0, 15])
     def test_gathers_hold_no_matrix(self, c):
         # a compiled 4x4 machine holds each monomial block, both ways, as its

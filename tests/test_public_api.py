@@ -1,6 +1,9 @@
 """The package's public names: exactly these, each one resolving."""
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -37,6 +40,20 @@ def test_all_is_pinned_and_resolves():
     assert sorted(ghzlattice.__all__) == PUBLIC
     assert len(set(ghzlattice.__all__)) == len(PUBLIC) == 55
     assert [name for name in PUBLIC if not hasattr(ghzlattice, name)] == []
+
+
+def test_dir_lists_all_before_any_is_read():
+    # in a fresh interpreter, where the run names are not bound yet: dir()
+    # lists them, and reading none of them
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys, ghzlattice; names = dir(ghzlattice); "
+              "print(sorted(set(ghzlattice.__all__) - set(names)), 'numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]", "False"]
 
 
 @pytest.mark.parametrize("module,name", REMOVED, ids=[name for _, name in REMOVED])
