@@ -76,7 +76,11 @@ class Region:
     side: int
 
     def __post_init__(self):
-        object.__setattr__(self, "anchor", tuple(int(a) for a in self.anchor))
+        try:  # any integer types, numpy's included, stored as ints
+            object.__setattr__(self, "anchor", tuple(map(operator.index, self.anchor)))
+            object.__setattr__(self, "side", operator.index(self.side))
+        except TypeError:
+            raise OutOfBoundsError(f"region anchor and side must be integers: {self!r}") from None
         if self.side < 1:
             raise OutOfBoundsError(f"region side must be >= 1, got {self.side}")
 

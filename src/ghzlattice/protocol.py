@@ -33,14 +33,14 @@ recursion, and it makes the intermediate state after every step a simple
 product over same-level cubes that can be constructed analytically and
 checked by fidelity.
 
-Verification reads sparse term lists, never a dense expected state.  A
+Verification reads sparse term tables, never a dense expected state.  A
 step's expected state has few nonzero terms (at most 1024 of 2**20 amplitudes
 on a 20-site chain).  On its first verify-on run a machine compiles, for the
-initial state and for the state after each step, the terms' flat amplitude
-indices, the source cube's level ``lv`` behind each term, and each term's
-weight with the coefficients factored out.  The protocol is linear in the
-coefficients and exactly one cube per level holds the source site, so a run's
-expected amplitudes are ``coefficients[label] * weight``.  A step's fidelity
+initial state and for the state after each step, two (q, K) tables: the
+terms' flat amplitude indices and weights with the coefficients factored out.
+The protocol is linear in the coefficients and one cube per level, the first,
+holds the source site, so row l holds the terms of its level l and a run's
+expected amplitudes are ``coefficients[:, None] * weight``.  A step's fidelity
 is one gather of the live state at those indices, over the live norm.
 
 Time accounting matches the schedule: the base record costs ``t_base`` and a
@@ -453,41 +453,36 @@ class _Machine:
     @cached_property
     def terms(self) -> tuple:
         """Sparse expected states: the initial state's terms, then the terms
-        after each of ``steps``, each as ``(idx, label, weight)``.
+        after each of ``steps``, each as (q, K) arrays ``(idx, weight)``.
 
-        The expected amplitude at flat index ``idx[k]`` is
-        ``coefficients[label[k]] * weight[k]``; every other amplitude is 0.
+        The expected amplitude at flat index ``idx[l, k]`` is
+        ``coefficients[l] * weight[l, k]``; every other amplitude is 0.
         """
         q = self.q
-        levels = np.arange(q)
-        terms = [(levels * q**self.c, levels, np.ones(q, dtype=np.complex128))]
+        terms = [((np.arange(q) * q**self.c)[:, None], np.ones((q, 1), dtype=np.complex128))]
         for level, step, *_ in self.steps:
-            idx, label = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.intp)
-            weight = np.ones(1, dtype=np.complex128)
-            for cube in self.cubes[level]:
-                # outer sums and products with this cube's terms; only the
-                # source cube's level labels a term
-                c_idx, c_label, c_weight = self._cube_terms(cube, level, step)
-                source = cube.contains(self.c_coord)
-                if not source:
-                    c_weight = c_weight / math.sqrt(q)  # uniform coefficients
-                idx = (idx[:, None] + c_idx.ravel()).ravel()
-                label = (label[:, None] + source * c_label.ravel()).ravel()
-                weight = (weight[:, None] * c_weight.ravel()).ravel()
-            terms.append((idx, label, weight))
+            source, *others = self.cubes[level]
+            assert source.contains(self.c_coord)  # partition puts it first
+            idx, weight = self._cube_terms(source, level, step)
+            for cube in others:  # outer sums and products along each row
+                c_idx, c_weight = self._cube_terms(cube, level, step)
+                c_weight = c_weight.ravel() / math.sqrt(q)  # uniform coefficients
+                idx = (idx[:, :, None] + c_idx.ravel()).reshape(q, -1)
+                weight = (weight[:, :, None] * c_weight).reshape(q, -1)
+            terms.append((idx, weight))
         size = q**self.lattice.n_sites
-        for idx, label, weight in terms:
-            ordered = np.sort(idx)
+        for idx, weight in terms:
+            ordered = np.sort(idx, axis=None)
             assert ordered[0] >= 0 and ordered[-1] < size
             assert np.all(ordered[1:] != ordered[:-1])  # each basis state once
-            norms = np.bincount(label, weights=np.abs(weight) ** 2, minlength=q)
-            assert np.all(np.abs(norms - 1.0) <= 1e-12)
+            norms = np.sum(np.abs(weight) ** 2, axis=1)
+            assert np.all(np.abs(norms - 1.0) <= 1e-12)  # each row has norm 1
         return tuple(terms)
 
     def _cube_terms(self, cube: Region, level: int, step: int) -> tuple:
         """One cube's terms after ``step`` of ``level``, as (q, k) arrays of
-        flat-index contributions, the cube's level lv (one row per lv) and
-        weights without the cube's coefficient."""
+        flat-index contributions and of weights without the cube's
+        coefficient; row lv holds the cube's level lv."""
         q = self.q
         lv = np.arange(q)[:, None]
         ones = np.ones((q, 1), dtype=np.complex128)
@@ -496,10 +491,10 @@ class _Machine:
             return sum(q**s for s in site_mask(region, self.lattice).tolist())
 
         if step == 5 or level == 0:  # all-same-level blocks over the cube
-            return lv * stride(cube), lv, ones
+            return lv * stride(cube), ones
         merge = self.merges[cube]
         if step == 4:  # the targets' gate sites rotated back to the control's lv
-            return lv * (stride(merge.control) + sum(q**s for s in merge.gate_sites)), lv, ones
+            return lv * (stride(merge.control) + sum(q**s for s in merge.gate_sites)), ones
         # steps 2 and 3: each target in the phase ladder
         # sum_x omega**(lv*x) |x> / sqrt(q), over the whole target after the
         # merge (step 2) or concentrated onto its gate site (step 3)
@@ -510,7 +505,7 @@ class _Machine:
             x_sum = (x_sum[:, None] + np.arange(q)).ravel()
             tgt = (tgt[:, None] + np.arange(q) * st).ravel()
         weight = _roots(q)[(-lv * x_sum) % q] / math.sqrt(q) ** len(strides)
-        return lv * stride(merge.control) + tgt, np.broadcast_to(lv, weight.shape), weight
+        return lv * stride(merge.control) + tgt, weight
 
 
 #: ``_machine(lattice, region, c, plan)``: the compiled machine, shared by equal keys.
@@ -578,15 +573,15 @@ def _overlap(state: StateVector, terms: tuple, coefficients: np.ndarray,
     without it the live norm is read in full, since the gather sees only the
     support.
     """
-    idx, label, weight = terms
-    w = coefficients[label] * weight
+    idx, weight = terms
+    w = (coefficients[:, None] * weight).ravel()
     norm2 = _vdot(w, w).real
     if not abs(norm2 - 1.0) <= 1e-10:
         raise PreconditionError(f"expected state norm**2 = {norm2!r} deviates from 1")
     amps = state.amps
     if state_norm2 is None:
         state_norm2 = _vdot(amps, amps).real
-    return float(np.minimum(1.0, abs(_vdot(w, amps[idx])) ** 2 / state_norm2))
+    return float(np.minimum(1.0, abs(_vdot(w, amps[idx].ravel())) ** 2 / state_norm2))
 
 
 def _run(state: StateVector, req: EncodeRequest, verify: bool, gate_mode: str,
@@ -688,9 +683,7 @@ def decode(
 
 def _extract_site_coefficients(state: StateVector, site: int) -> np.ndarray:
     """Read off the source-site amplitudes when every other site is in |0>."""
-    coeffs = np.array(
-        [state.amps[state.q**site * lv] for lv in range(state.q)], dtype=np.complex128
-    )
+    coeffs = state.amps[state.q**site * np.arange(state.q)]
     norm = math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
     if not abs(norm - 1.0) <= 1e-8:
         raise StatePreconditionError(

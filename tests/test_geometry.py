@@ -106,6 +106,21 @@ class TestSiteMask:
         assert mask.tolist() == [1 * 4 + 2, 1 * 4 + 3, 2 * 4 + 2, 2 * 4 + 3]
 
 
+class TestRegion:
+    @pytest.mark.parametrize("anchor,side", [
+        ((0.7,), 2), ((0,), 2.5), ((1, 2.0), 2), ((0,), "2"), (0, 2),
+    ])
+    def test_non_integer_refused(self, anchor, side):
+        # a float anchor is not truncated, and a float side is not left to
+        # fail later in site_mask with a bare TypeError
+        with pytest.raises(OutOfBoundsError, match="must be integers"):
+            Region(anchor, side)
+
+    def test_numpy_integers_stored_as_int(self):
+        region = Region((np.int64(1), np.uint8(2)), np.int32(2))
+        assert region == Region((1, 2), 2) and hash(region) == hash(Region((1, 2), 2))
+        assert all(type(v) is int for v in (*region.anchor, region.side))
+
 class TestLatticeSpec:
     def test_flat_index_roundtrip(self):
         lat = LatticeSpec(3, 3)

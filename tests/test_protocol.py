@@ -1221,11 +1221,54 @@ print(json.dumps(out))
 
 def _step_support(req, level, step):
     """Flat indices of the expected state's nonzero terms after one step."""
-    return step_terms(req, level, step)[0]
+    return step_terms(req, level, step)[0].ravel()
+
+
+# (d, side, q, r0, forced_m, source, target): the encode machine compiles from
+# the source, the decode machine of a transfer from the target
+TERM_CASES = {
+    "chain16": (1, 16, 2, 2, [2, 2, 2], 0, 15),
+    "grid4x4_off_anchor": (2, 4, 2, 2, [2], 5, 10),
+    "ququart8": (1, 8, 4, 2, [2, 2], 0, 7),
+    "q64_three_sites": (1, 3, 64, 1, [3], 0, 2),
+}
+
+
+class TestTermTables:
+    """Each expected state is one (q, K) table of indices and one of weights,
+    row l holding the terms of the source site's level l."""
+
+    @staticmethod
+    def machines(name):
+        d, side, q, r0, forced, source, target = TERM_CASES[name]
+        lat = LatticeSpec(d, side, q)
+        p = plan(2.5 if d == 1 else 4.5, d, side, r0=r0, forced_m=forced, q=q)
+        return [_Machine(lat, lat.full_region(), c, p) for c in (source, target)]
+
+    @pytest.mark.parametrize("name", list(TERM_CASES))
+    def test_label_major_rows_of_norm_one(self, name):
+        for machine in self.machines(name):
+            assert len(machine.terms) == len(machine.steps) + 1
+            for idx, weight in machine.terms:
+                assert idx.ndim == 2 and idx.shape == weight.shape
+                assert idx.shape[0] == machine.q
+                assert np.allclose(np.sum(np.abs(weight) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+            # the first cube of every level holds the source, so it labels the rows
+            assert all(cubes[0].contains(machine.c_coord) for cubes in machine.cubes)
+
+    def test_q64_three_sites_hold_24_bytes_per_term(self):
+        # three steps of q**3 terms, then two steps and the initial state of
+        # q: an int64 index and a complex weight each
+        encoder, _ = self.machines("q64_three_sites")
+        n_terms = sum(idx.size for idx, _ in encoder.terms)
+        held = sum(idx.nbytes + weight.nbytes for idx, weight in encoder.terms)
+        assert n_terms == 3 * 64**3 + 3 * 64
+        assert held == 24 * n_terms
+        assert round(held / 2**20, 1) == 18.0
 
 
 class TestSparseVerification:
-    """Each step's fidelity comes from the machine's sparse term lists; the
+    """Each step's fidelity comes from the machine's sparse term tables; the
     dense ExpectedStates above is the oracle."""
 
     @pytest.mark.parametrize("kick", [0.0, 1.0], ids=["true", "kicked"])
